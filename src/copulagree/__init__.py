@@ -81,7 +81,6 @@ from .scores import (
 )
 from .structure import (
     AgreementStructure,
-    ParameterVector,
     block_logdet_quadform,
     build_structure,
     pair_list,
@@ -104,7 +103,6 @@ __all__ = [
     "NumericalError",
     "Objective",
     "OptimizeFit",
-    "ParameterVector",
     "PosteriorResult",
     "SamplerControl",
     "ScoreMatrix",

@@ -243,8 +243,6 @@ def sample_posterior(data: ScoreMatrix, control: SamplerControl | None = None,
     control = control or SamplerControl()
     if data.level not in ("interval", "ratio"):
         raise ConfigError("posterior sampling requires interval or ratio scores")
-    if data.level == "interval" and control.dist not in _PSI_PROPOSALS:
-        raise ConfigError(f"unsupported family {control.dist!r}")
     if data.level == "interval" and control.dist in ("beta", "kumaraswamy"):
         raise ConfigError(f"{control.dist!r} is a ratio-level family")
     if data.level == "ratio" and control.dist not in ("beta", "kumaraswamy"):

@@ -12,14 +12,12 @@ from .errors import ConfigError, DataError
 from .fit import (
     _TAG_ALPHA,
     FitResult,
-    Objective,
-    optimize_objective,
+    fit_point,
     parallel_map,
     replicate_rng,
     resolve_seed,
     simulate_flat,
 )
-from .objectives import CopulaModel, _probit
 from .scores import ScoreMatrix, embed_original, prepare
 from .structure import build_structure
 
@@ -93,16 +91,8 @@ def _refit_without(fit: FitResult, drop_unit: int | None = None,
         labels = [labels[j] for j in cols]
     data = prepare(grid, labels, fit.data.level, fit.data.n_categories)
     structure = build_structure(data.labels, data.observed)
-    if fit.method == "smp":
-        y = data.scores_flat()
-        fam = marginals.empirical_cdf(y, fit.smp_variant or "plain", fit.smp_eps)
-        model = CopulaModel(structure, "empirical", _probit(fam.cdf(y)))
-    else:
-        model = CopulaModel(structure, fit.family, data.scores_flat(), data.n_categories)
-    opt = optimize_objective(
-        Objective(fit.method, model), model.initial_theta(),
-        model.bounds(), model.face_constraint(),
-    )
+    model, opt, _ = fit_point(structure, data.scores_flat(), fit.method, fit.family,
+                              data.n_categories, fit.smp_variant, fit.smp_eps)
     if not opt.converged:
         raise DataError("refit did not converge")
     return model.expand(opt.theta)

@@ -21,7 +21,7 @@ class DegenerateDataError(DataError):
     """Data carry no information for the requested operation (e.g. zero variance)."""
 
 
-class StructureError(AgreementError):
+class StructureError(DataError):
     """Column labels describe an inconsistent correlation structure."""
 
 

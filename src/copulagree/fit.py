@@ -1,11 +1,18 @@
 """Frequentist estimation: method selection, box-constrained optimization,
-asymptotic/sandwich/bootstrap interval estimation, and the two-stage
-semiparametric path.
+and asymptotic/sandwich/bootstrap interval estimation.
 
-Replicated computations (parametric bootstrap, sandwich score covariance,
-semiparametric copula bootstrap) draw replicate j from an independent RNG
-stream derived from (seed, purpose-tag, j), so results are identical for any
-thread count and reduce in replicate order.
+There is one fitting path.  ``fit_point`` builds the model for a dataset
+(parametric marginal, or probit-transformed ECDF scores for the two-stage
+semiparametric method) and maximizes its objective; ``fit_agreement``, every
+bootstrap refit and every influence refit go through it.  One parametric
+bootstrap serves all four methods: it simulates from the fitted marginal,
+which for the semiparametric method is the ECDF with its median-unbiased
+quantile.
+
+Replicated computations (parametric bootstrap, sandwich score covariance)
+draw replicate j from an independent RNG stream derived from
+(seed, purpose-tag, j), so results are identical for any thread count and
+reduce in replicate order.
 """
 
 from __future__ import annotations
@@ -29,10 +36,9 @@ from .objectives import (
     _probit,
     gradient,
     hessian,
-    model_with_scores,
 )
 from .scores import ScoreMatrix
-from .structure import ParameterVector, build_structure, simulate_latent
+from .structure import build_structure, simulate_latent
 
 # Objective value handed to the minimizer when the log-objective is -inf.
 _BIG = 1e10
@@ -195,6 +201,26 @@ def optimize_objective(objective, theta0, bounds, face_constraint=None) -> Optim
     return best
 
 
+def fit_point(structure, y, method, dist, n_categories, variant, eps):
+    """Build the model for flat scores ``y`` and maximize its objective.
+
+    The semiparametric method standardizes ``y`` through its ECDF (``variant``
+    and ``eps`` as in ``marginals.empirical_cdf``) and its marginal is that
+    ECDF; every other method fits the ``dist`` marginal jointly.  Returns
+    ``(model, opt, marginal)`` with the parametric marginal taken at the optimum.
+    """
+    if method == "smp":
+        marginal = marginals.empirical_cdf(y, variant, eps)
+        model = CopulaModel(structure, "empirical", _probit(marginal.cdf(y)))
+    else:
+        model = CopulaModel(structure, dist, y, n_categories)
+    opt = optimize_objective(Objective(method, model), model.initial_theta(),
+                             model.bounds(), model.face_constraint())
+    if method != "smp":
+        marginal = model.family_of(opt.theta)
+    return model, opt, marginal
+
+
 def simulate_flat(structure, omega, family, rng) -> np.ndarray:
     """One dataset from the fitted copula: Z ~ N(0, Omega), U = Phi(Z), Y = F^{-1}(U)."""
     z = simulate_latent(structure, omega, rng)
@@ -242,11 +268,6 @@ class FitResult:
         return self.model.expand(self.theta)
 
     @property
-    def params(self) -> ParameterVector:
-        omega, psi = self.model.unpack(self.theta)
-        return ParameterVector(omega, psi)
-
-    @property
     def family(self) -> str:
         return self.model.family
 
@@ -278,7 +299,8 @@ def _sandwich_worker(payload, j):
     rng = replicate_rng(seed, _TAG_SANDWICH, j)
     omega, _ = model.unpack(theta)
     y = simulate_flat(model.structure, omega, model.family_of(theta), rng)
-    g = gradient(Objective(method, model_with_scores(model, y)), theta)
+    refit_model = CopulaModel(model.structure, model.family, y, model.n_categories)
+    g = gradient(Objective(method, refit_model), theta)
     return np.outer(g, g)
 
 
@@ -323,20 +345,14 @@ def asymptotic_interval(fit: FitResult, conf_level: float = 0.95,
 
 
 def _boot_worker(payload, j):
-    model, method, theta, seed = payload
-    rng = replicate_rng(seed, _TAG_BOOT, j)
-    omega, _ = model.unpack(theta)
-    y = simulate_flat(model.structure, omega, model.family_of(theta), rng)
-    refit_model = model_with_scores(model, y)
+    structure, omega, marginal, method, dist, n_categories, variant, eps, seed = payload
+    tag = _TAG_SMP_BOOT if method == "smp" else _TAG_BOOT
+    y = simulate_flat(structure, omega, marginal, replicate_rng(seed, tag, j))
     try:
-        theta0 = refit_model.initial_theta()
+        model, opt, _ = fit_point(structure, y, method, dist, n_categories, variant, eps)
     except DataError:
         return None
-    opt = optimize_objective(Objective(method, refit_model), theta0,
-                             refit_model.bounds(), refit_model.face_constraint())
-    if not opt.converged:
-        return None
-    return refit_model.expand(opt.theta)
+    return model.expand(opt.theta) if opt.converged else None
 
 
 def bootstrap_intervals(draws: np.ndarray, center: np.ndarray, interval: str,
@@ -359,12 +375,18 @@ def full_bootstrap(fit: FitResult, n_b: int = DEFAULT_BOOTSTRAP_NB,
                    seed: int | None = None, threads: int = 1):
     """Parametric bootstrap: refit n_b datasets simulated at theta-hat.
 
-    Non-convergent replicates are dropped and counted; losing more than 10%
-    raises the warning flag.  Returns ``(draws, lower, upper, mcse, dropped,
-    warning)`` in reported-parameter space.
+    Each dataset is drawn through the fitted copula and marginal; for a
+    semiparametric fit that marginal is the ECDF, so this is the copula
+    resampling bootstrap (U* at omega-hat mapped through median-unbiased
+    empirical quantiles, then re-standardized and re-estimated).
+    Replicates that fail to start or converge are dropped and counted; losing
+    more than 10% raises the warning flag.  Returns ``(draws, lower, upper,
+    mcse, dropped, warning)`` in reported-parameter space.
     """
     seed = resolve_seed(seed if seed is not None else fit.seed)
-    payload = (fit.model, fit.method, fit.theta, seed)
+    omega, _ = fit.model.unpack(fit.theta)
+    payload = (fit.model.structure, omega, fit.family_obj, fit.method, fit.family,
+               fit.model.n_categories, fit.smp_variant, fit.smp_eps, seed)
     rows = parallel_map(_boot_worker, payload, n_b, threads)
     kept = [r for r in rows if r is not None]
     dropped = n_b - len(kept)
@@ -402,31 +424,39 @@ def fit_agreement(data: ScoreMatrix, *, method: str | None = None, dist: str | N
                   smp_variant: str = "plain", smp_eps: float | None = None) -> FitResult:
     """Fit the agreement model appropriate for the data's level of measurement.
 
-    ``confint`` is one of none/asymptotic/bootstrap.  ``bootit`` sets the
-    replicate count where one is needed (defaults: 1000 for the full
-    bootstrap, 100 for the sandwich score covariance).
+    Every method (ml, dt, cml, smp) takes the same path: build the structure,
+    ``fit_point`` for the estimate, then the requested intervals.  ``confint``
+    is one of none/asymptotic/bootstrap; the semiparametric method (whose
+    ``smp_variant``/``smp_eps`` choose the ECDF) supports none/bootstrap only
+    and ignores ``dist``.  ``bootit`` sets the replicate count where one is
+    needed (defaults: 1000 for the full bootstrap, 100 for the sandwich score
+    covariance).
     """
     if confint not in ("none", "asymptotic", "bootstrap"):
         raise ConfigError(f"unknown confint {confint!r}")
     method = select_method(data.level, data.n_categories, override=method)
+    y = data.scores_flat()
     if method == "smp":
-        return fit_semiparametric(
-            data, variant=smp_variant, eps=smp_eps,
-            n_b=bootit if bootit is not None else DEFAULT_BOOTSTRAP_NB,
-            confint=confint, interval=interval, conf_level=conf_level,
-            seed=seed, threads=threads,
-        )
-    dist = _default_dist(data.level, dist)
+        if confint == "asymptotic":
+            raise ConfigError("the semiparametric path supports bootstrap intervals only")
+        if y.size < 30:
+            warnings.warn(
+                f"only {y.size} observed scores; the ECDF stage is unreliable below 30",
+                stacklevel=2,
+            )
+    else:
+        dist = _default_dist(data.level, dist)
+        smp_variant = smp_eps = None
     seed = resolve_seed(seed)
 
     structure = build_structure(data.labels, data.observed)
-    model = CopulaModel(structure, dist, data.scores_flat(), data.n_categories)
-    opt = optimize_objective(Objective(method, model), model.initial_theta(),
-                             model.bounds(), model.face_constraint())
+    model, opt, marginal = fit_point(structure, y, method, dist, data.n_categories,
+                                     smp_variant, smp_eps)
     fit = FitResult(
         method=method, model=model, data=data, theta=opt.theta,
         objective=opt.value, iterations=opt.iterations, converged=opt.converged,
-        family_obj=model.family_of(opt.theta), conf_level=conf_level, seed=seed,
+        family_obj=marginal, conf_level=conf_level, seed=seed,
+        smp_variant=smp_variant, smp_eps=smp_eps,
     )
     if confint == "asymptotic":
         n_b = bootit if bootit is not None else DEFAULT_SANDWICH_NB
@@ -446,66 +476,16 @@ def fit_agreement(data: ScoreMatrix, *, method: str | None = None, dist: str | N
     return fit
 
 
-def _smp_point(structure, y, variant, eps):
-    fam = marginals.empirical_cdf(y, variant, eps)
-    zhat = _probit(fam.cdf(y))
-    model = CopulaModel(structure, "empirical", zhat)
-    opt = optimize_objective(Objective("smp", model), model.initial_theta(), model.bounds())
-    return model, opt, fam
-
-
-def _smp_boot_worker(payload, j):
-    structure, omega_hat, y_obs, variant, eps, seed = payload
-    rng = replicate_rng(seed, _TAG_SMP_BOOT, j)
-    u = ndtr(simulate_latent(structure, omega_hat, rng))
-    y_star = np.asarray(marginals.median_unbiased_quantile(y_obs, u), dtype=float)
-    _, opt, _ = _smp_point(structure, y_star, variant, eps)
-    if not opt.converged:
-        return None
-    return opt.theta
-
-
 def fit_semiparametric(data: ScoreMatrix, variant: str = "plain", eps: float | None = None,
                        n_b: int = DEFAULT_BOOTSTRAP_NB, confint: str = "bootstrap",
                        interval: str = "gaussian", conf_level: float = 0.95,
                        seed: int | None = None, threads: int = 1) -> FitResult:
     """Two-stage semiparametric fit: probit-transformed ECDF scores, then the
     copula-only objective; intervals from the copula-resampling bootstrap
-    (simulate U* at omega-hat, map through median-unbiased empirical
-    quantiles, re-estimate)."""
-    if data.level not in ("interval", "ratio"):
-        raise ConfigError("the semiparametric path requires interval or ratio scores")
-    if confint not in ("none", "bootstrap"):
-        raise ConfigError("the semiparametric path supports bootstrap intervals only")
-    seed = resolve_seed(seed)
-    y = data.scores_flat()
-    if y.size < 30:
-        warnings.warn(
-            f"only {y.size} observed scores; the ECDF stage is unreliable below 30",
-            stacklevel=2,
-        )
-    structure = build_structure(data.labels, data.observed)
-    model, opt, fam = _smp_point(structure, y, variant, eps)
-    fit = FitResult(
-        method="smp", model=model, data=data, theta=opt.theta,
-        objective=opt.value, iterations=opt.iterations, converged=opt.converged,
-        family_obj=fam, conf_level=conf_level, seed=seed,
+    (see ``full_bootstrap``).  Equivalent to ``fit_agreement`` with
+    ``method="smp"``."""
+    return fit_agreement(
+        data, method="smp", confint=confint, bootit=n_b, interval=interval,
+        conf_level=conf_level, seed=seed, threads=threads,
         smp_variant=variant, smp_eps=eps,
     )
-    if confint == "bootstrap":
-        payload = (structure, opt.theta, y, variant, eps, seed)
-        rows = parallel_map(_smp_boot_worker, payload, n_b, threads)
-        kept = [r for r in rows if r is not None]
-        dropped = n_b - len(kept)
-        if not kept:
-            raise IntervalError("all bootstrap replicates failed to converge")
-        draws = np.asarray(kept)
-        fit.lower, fit.upper = bootstrap_intervals(draws, fit.estimates, interval, conf_level)
-        fit.boot_draws = draws
-        fit.boot_mcse = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0]) \
-            if draws.shape[0] > 1 else np.full(draws.shape[1], np.inf)
-        fit.boot_dropped = dropped
-        fit.boot_warning = dropped > 0.1 * n_b
-        fit.interval_kind = "bootstrap"
-        fit.boot_interval = interval
-    return fit

@@ -10,7 +10,7 @@ penalize and recover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -260,8 +260,9 @@ def _gaussian_core(structure, omega, z) -> float:
     return -0.5 * logdet - 0.5 * (quad - math.fsum(z * z))
 
 
-def loglik_ml(theta, model: CopulaModel) -> float:
-    """Exact log-likelihood for a continuous marginal."""
+def _loglik_probit(theta, model: CopulaModel, dt: bool) -> float:
+    """Marginal log-density plus the Gaussian core at the probit scores:
+    probits of the cdf, or of the jump midpoints when ``dt`` is set."""
     omega, _ = model.unpack(theta)
     fam = model.family_of(theta)
     if fam is None:
@@ -269,23 +270,19 @@ def loglik_ml(theta, model: CopulaModel) -> float:
     logf = math.fsum(np.atleast_1d(fam.logpdf(model.y)))
     if not np.isfinite(logf):
         return -np.inf
-    z = _probit(fam.cdf(model.y))
+    z = _probit(fam.dt_cdf(model.y) if dt else fam.cdf(model.y))
     core = _gaussian_core(model.structure, omega, z)
     return core + logf
+
+
+def loglik_ml(theta, model: CopulaModel) -> float:
+    """Exact log-likelihood for a continuous marginal."""
+    return _loglik_probit(theta, model, dt=False)
 
 
 def loglik_dt(theta, model: CopulaModel) -> float:
     """Distributional-transform approximation: probits of jump midpoints."""
-    omega, _ = model.unpack(theta)
-    fam = model.family_of(theta)
-    if fam is None:
-        return -np.inf
-    logf = math.fsum(np.atleast_1d(fam.logpdf(model.y)))
-    if not np.isfinite(logf):
-        return -np.inf
-    z = _probit(fam.dt_cdf(model.y))
-    core = _gaussian_core(model.structure, omega, z)
-    return core + logf
+    return _loglik_probit(theta, model, dt=True)
 
 
 def loglik_cml(theta, model: CopulaModel, pairs: np.ndarray | None = None) -> float:
@@ -376,7 +373,3 @@ def hessian(fn, theta) -> np.ndarray:
             )
     return hess
 
-
-def model_with_scores(model: CopulaModel, y: np.ndarray) -> CopulaModel:
-    """Same structure/family, new flat scores (used by simulation-based refits)."""
-    return replace(model, y=np.asarray(y, dtype=float))

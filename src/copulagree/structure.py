@@ -27,17 +27,6 @@ DIAG = -1
 ZERO = -2
 
 
-@dataclass(frozen=True)
-class ParameterVector:
-    """Packed model parameters theta = (omega, psi)."""
-
-    omega: np.ndarray
-    psi: np.ndarray
-
-    def packed(self) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(self.omega), np.atleast_1d(self.psi)])
-
-
 @dataclass(frozen=True, eq=False)
 class AgreementStructure:
     """Per-unit correlation blocks with named agreement parameters.

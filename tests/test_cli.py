@@ -253,10 +253,16 @@ class TestErrorPaths:
 
     def test_bad_labels_are_a_data_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x,c.2.1\n1,2\n3,4\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "fit", str(path), "--level", "nominal")
-        assert code == 2
-        assert "cols 1" in err
+        for text, reason in [
+            ("x,c.2.1\n1,2\n3,4\n", "cols 1"),
+            # well-formed labels, but the gold column's method has no coders
+            ("g.m2,c.1.1,c.2.1\n1,2,2\n3,4,4\n",
+             "error: data: gold column for method 2 has no coder columns"),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            code, _, err = run_cli(capsys, "fit", str(path), "--level", "nominal")
+            assert code == 2
+            assert reason in err
 
     def test_invalid_config_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "fit", FIXTURE, "--level", "metric")

@@ -57,6 +57,13 @@ class TestInfluence:
         # dropping a non-existent coder number changes nothing -> no-op row
         rep2 = influence(nominal_fit, coders=[9])
         assert np.array_equal(rep2.dfbeta_coders[0], np.zeros(6))
+        # dropping coder 1 leaves the method-2 gold column without coders
+        labels = parse_labels(["g.m2", "m2.c.1.1", "m1.c.1.1", "m1.c.2.1"]).labels
+        grid = NOMINAL_GRID[:, [0, 3, 1, 2]]
+        multi = fit_agreement(prepare(grid, labels, "nominal"), confint="none", seed=7)
+        rep3 = influence(multi, coders=[1])
+        assert rep3.failed_coders == (1,)
+        assert np.isnan(rep3.dfbeta_coders[0]).all()
 
 
 class TestSimulate:

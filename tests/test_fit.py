@@ -188,6 +188,15 @@ class TestFullBootstrap:
         d3, *_ = full_bootstrap(nominal_fit, n_b=8, seed=11, threads=2)
         assert np.array_equal(d1, d2)
         assert np.array_equal(d1, d3)
+        # the semiparametric fit shares the worker and the reducer
+        y = simulate_pair_scores(40, 0.6, Gaussian(0.0, 1.0), seed=15)
+        smp_fit = fit_semiparametric(make_pair_data(40, y), confint="none", seed=11)
+        s1, *_ = full_bootstrap(smp_fit, n_b=8, seed=11, threads=1)
+        s2, *_ = full_bootstrap(smp_fit, n_b=8, seed=11, threads=1)
+        s3, *_ = full_bootstrap(smp_fit, n_b=8, seed=11, threads=2)
+        assert s1.shape == (8, 1)
+        assert np.array_equal(s1, s2)
+        assert np.array_equal(s1, s3)
 
     def test_quantile_interval_option(self, nominal_fit):
         draws, lower, upper, *_ = full_bootstrap(
