@@ -73,7 +73,7 @@ class InfluenceReport:
 
 
 def _refit_without(fit: FitResult, drop_unit: int | None = None,
-                   drop_coder: int | None = None) -> np.ndarray:
+                   drop_coder: int | None = None) -> dict[str, float]:
     values, observed = embed_original(fit.data)
     grid = np.where(observed, values, np.nan)
     labels = list(fit.data.labels)
@@ -95,36 +95,38 @@ def _refit_without(fit: FitResult, drop_unit: int | None = None,
                               data.n_categories, fit.smp_variant, fit.smp_eps)
     if not opt.converged:
         raise DataError("refit did not converge")
-    return model.expand(opt.theta)
+    return dict(zip(model.param_names(), model.expand(opt.theta)))
 
 
 def influence(fit: FitResult, units=(), coders=()) -> InfluenceReport:
     """Refit the model without each requested unit (1-based original row
     number) or coder (coder index), reporting DFBETA = theta_full - theta_drop.
 
-    A failed refit flags its entity and leaves NaN in its row; the other
-    entities are still returned.
+    Rows are matched by parameter name: a parameter absent from a refit
+    (dropping a coder can remove its intra parameter) reads NaN.  A failed
+    refit flags its entity and leaves NaN in its row; the other entities are
+    still returned.
     """
-    base = fit.estimates
     names = fit.param_names
-    du = np.full((len(units), len(names)), np.nan)
-    failed_units = []
-    for i, u in enumerate(units):
-        try:
-            du[i] = base - _refit_without(fit, drop_unit=int(u))
-        except (DataError, ValueError):
-            failed_units.append(int(u))
-    dc = np.full((len(coders), len(names)), np.nan)
-    failed_coders = []
-    for i, c in enumerate(coders):
-        try:
-            dc[i] = base - _refit_without(fit, drop_coder=int(c))
-        except (DataError, ValueError):
-            failed_coders.append(int(c))
+
+    def dfbeta(entities, key):
+        rows = np.full((len(entities), len(names)), np.nan)
+        failed = []
+        for i, e in enumerate(entities):
+            try:
+                refit = _refit_without(fit, **{key: int(e)})
+            except (DataError, ValueError):
+                failed.append(int(e))
+                continue
+            rows[i] = fit.estimates - [refit.get(nm, np.nan) for nm in names]
+        return rows, tuple(failed)
+
+    du, failed_units = dfbeta(units, "drop_unit")
+    dc, failed_coders = dfbeta(coders, "drop_coder")
     return InfluenceReport(
         names, tuple(int(u) for u in units), du,
         tuple(int(c) for c in coders), dc,
-        tuple(failed_units), tuple(failed_coders),
+        failed_units, failed_coders,
     )
 
 

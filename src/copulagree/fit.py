@@ -30,10 +30,10 @@ from scipy.stats import norm
 from . import marginals
 from .errors import ConfigError, DataError, IntervalError
 from .objectives import (
-    _CBRT_EPS,
     CopulaModel,
     Objective,
     _probit,
+    fd_step,
     gradient,
     hessian,
 )
@@ -134,7 +134,7 @@ def optimize_objective(objective, theta0, bounds, face_constraint=None) -> Optim
         g = np.zeros_like(t)
         if f0 >= _BIG:
             return f0, g
-        h = _CBRT_EPS * np.maximum(1.0, np.abs(t))
+        h = fd_step(t)
         for j in range(t.size):
             e = np.zeros_like(t)
             e[j] = h[j]

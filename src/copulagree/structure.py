@@ -1,16 +1,18 @@
 """Symbolic block-diagonal copula correlation structure.
 
-Each retained unit contributes one block over its observed scores.  Entries
-are diagonal ones, structural zeros, or references to a named agreement
-parameter.  The blocks are never assembled into the full matrix; all linear
-algebra is done blockwise, with identical blocks grouped so each distinct
-pattern is factorized once per parameter value.
+A unit's correlation block depends only on which columns it observed, so the
+structure holds one block per distinct pattern, with the flat positions of
+the units that share it.  Entries are diagonal ones, structural zeros, or
+references to a named agreement parameter.  All linear algebra is done
+blockwise, and each distinct pattern is factorized once per parameter value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -29,57 +31,23 @@ ZERO = -2
 
 @dataclass(frozen=True, eq=False)
 class AgreementStructure:
-    """Per-unit correlation blocks with named agreement parameters.
+    """One correlation block per distinct pattern, with named agreement parameters.
 
-    ``blocks[i]`` is an integer grid over unit i's observed scores: DIAG on
-    the diagonal, ZERO for structural zeros, otherwise an index into
-    ``param_names``.  ``block_cols[i]`` holds the score-column indices the
-    block rows refer to, in ascending order; flat score vectors are ordered
-    unit-major, column-ascending.
+    ``groups`` holds one ``(code, idx)`` pair per distinct block, ordered by
+    the first unit that has it.  ``code`` is an integer grid over the
+    pattern's observed scores: DIAG on the diagonal, ZERO for structural
+    zeros, otherwise an index into ``param_names``.  Each row of ``idx`` is
+    one unit's flat score positions, units in ascending order; flat score
+    vectors (length ``n``) are ordered unit-major, column-ascending.
     """
 
     param_names: tuple[str, ...]
-    blocks: tuple[np.ndarray, ...]
-    block_cols: tuple[np.ndarray, ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     n: int
-    _groups: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        offsets = np.concatenate(([0], np.cumsum([len(b) for b in self.blocks])))
-        groups: dict[bytes, list[int]] = {}
-        for i, code in enumerate(self.blocks):
-            groups.setdefault(code.tobytes() + bytes([code.shape[0]]), []).append(i)
-        packed = []
-        for members in groups.values():
-            code = self.blocks[members[0]]
-            m = code.shape[0]
-            idx = np.empty((len(members), m), dtype=int)
-            for r, i in enumerate(members):
-                idx[r] = np.arange(offsets[i], offsets[i] + m)
-            packed.append((code, idx))
-        object.__setattr__(self, "_groups", packed)
-        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def n_params(self) -> int:
         return len(self.param_names)
-
-    @property
-    def n_units(self) -> int:
-        return len(self.blocks)
-
-    def block_sizes(self) -> list[int]:
-        return [len(b) for b in self.blocks]
-
-    def materialize(self, i: int, omega) -> np.ndarray:
-        return materialize_block(self.blocks[i], omega)
-
-    def summary(self) -> str:
-        sizes = " ".join(str(s) for s in self.block_sizes())
-        return (
-            f"parameters: {' '.join(self.param_names)}\n"
-            f"unit block sizes: {sizes}"
-        )
 
 
 def materialize_block(code: np.ndarray, omega) -> np.ndarray:
@@ -140,47 +108,55 @@ def build_structure(labels, observed: np.ndarray) -> AgreementStructure:
             raise StructureError(
                 f"gold column for method {lab.method} has no coder columns"
             )
-    coder_cols: dict[tuple[int, int], int] = {}
-    for lab in labels:
-        if lab.kind == "coder":
-            key = (lab.method, lab.coder)
-            coder_cols[key] = coder_cols.get(key, 0) + 1
+    coder_cols = Counter((lab.method, lab.coder) for lab in labels if lab.kind == "coder")
     plain_inter = (
         len(methods) == 1
         and not any(lab.kind == "gold" for lab in labels)
         and all(v == 1 for v in coder_cols.values())
     )
 
-    used: set[str] = set()
-    unit_pairs = []
-    for u in range(observed.shape[0]):
-        cols = np.flatnonzero(observed[u])
-        if len(cols) < 2:
-            raise ValueError(f"unit {u} has fewer than 2 observed scores")
-        pairs = {}
-        for r in range(len(cols)):
-            for c in range(r + 1, len(cols)):
-                nm = _pair_param_name(labels[cols[r]], labels[cols[c]], plain_inter)
-                pairs[(r, c)] = nm
-                if nm is not None:
-                    used.add(nm)
-        unit_pairs.append((cols, pairs))
+    sizes = observed.sum(axis=1)
+    short = np.flatnonzero(sizes < 2)
+    if short.size:
+        raise ValueError(f"unit {short[0]} has fewer than 2 observed scores")
 
-    param_names = _canonical_order(used, methods)
+    names = {
+        (a, b): _pair_param_name(labels[a], labels[b], plain_inter)
+        for a, b in combinations(range(len(labels)), 2)
+    }
+    masks, first, inverse = np.unique(
+        observed, axis=0, return_index=True, return_inverse=True
+    )
+    together = masks.T @ masks
+    param_names = _canonical_order(
+        {nm for (a, b), nm in names.items() if nm is not None and together[a, b]},
+        methods,
+    )
     index = {nm: k for k, nm in enumerate(param_names)}
+    full = np.full((len(labels), len(labels)), DIAG, dtype=np.int32)
+    for (a, b), nm in names.items():
+        full[a, b] = full[b, a] = index.get(nm, ZERO)
 
-    blocks, block_cols = [], []
-    total = 0
-    for cols, pairs in unit_pairs:
-        m = len(cols)
-        code = np.full((m, m), DIAG, dtype=np.int32)
-        for (r, c), nm in pairs.items():
-            code[r, c] = code[c, r] = ZERO if nm is None else index[nm]
-        code.flags.writeable = False
-        blocks.append(code)
-        block_cols.append(cols)
-        total += m
-    return AgreementStructure(tuple(param_names), tuple(blocks), tuple(block_cols), total)
+    # masks whose blocks coincide share a group; groups are numbered by first unit
+    group_of: dict[bytes, int] = {}
+    codes = []
+    mask_group = np.empty(len(masks), dtype=int)
+    for i in np.argsort(first):
+        cols = np.flatnonzero(masks[i])
+        code = full[np.ix_(cols, cols)]
+        key = code.tobytes()
+        if key not in group_of:
+            group_of[key] = len(codes)
+            code.flags.writeable = False
+            codes.append(code)
+        mask_group[i] = group_of[key]
+    unit_group = mask_group[inverse.reshape(-1)]
+    starts = np.cumsum(sizes) - sizes
+    groups = tuple(
+        (code, starts[np.flatnonzero(unit_group == g), None] + np.arange(len(code)))
+        for g, code in enumerate(codes)
+    )
+    return AgreementStructure(tuple(param_names), groups, int(sizes.sum()))
 
 
 def _solve_lower_batched(chol: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
@@ -217,7 +193,7 @@ def block_logdet_quadform(structure: AgreementStructure, omega, z):
     z = np.asarray(z, dtype=float)
     logdet_parts = []
     quad_parts = []
-    for code, idx in structure._groups:
+    for code, idx in structure.groups:
         m = materialize_block(code, omega)
         try:
             chol = np.linalg.cholesky(m)
@@ -233,7 +209,7 @@ def simulate_latent(structure: AgreementStructure, omega, rng) -> np.ndarray:
     """Draw the flat latent Gaussian vector Z ~ N(0, Omega(omega)) blockwise."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     z = np.empty(structure.n)
-    for code, idx in structure._groups:
+    for code, idx in structure.groups:
         m = materialize_block(code, omega)
         chol = np.linalg.cholesky(m)
         draws = rng.standard_normal((idx.shape[0], code.shape[0]))
@@ -242,17 +218,13 @@ def simulate_latent(structure: AgreementStructure, omega, rng) -> np.ndarray:
 
 
 def pair_list(structure: AgreementStructure) -> np.ndarray:
-    """All within-block nonzero pairs as rows (i, j, param_index), i < j flat."""
-    rows = []
-    offsets = structure._offsets
-    for u, code in enumerate(structure.blocks):
-        base = offsets[u]
-        m = code.shape[0]
-        for r in range(m):
-            for c in range(r + 1, m):
-                k = code[r, c]
-                if k >= 0:
-                    rows.append((base + r, base + c, k))
-    if not rows:
-        return np.empty((0, 3), dtype=int)
-    return np.asarray(rows, dtype=int)
+    """All within-block nonzero pairs as rows (i, j, param_index), i < j flat,
+    in ascending (i, j) order."""
+    parts = [np.empty((0, 3), dtype=int)]
+    for code, idx in structure.groups:
+        r, c = np.nonzero(np.triu(code >= 0, 1))
+        parts.append(np.column_stack(
+            (idx[:, r].ravel(), idx[:, c].ravel(), np.tile(code[r, c], len(idx)))
+        ))
+    rows = np.concatenate(parts)
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import copulagree
 from copulagree.cli import _build_parser, _echoed_call, _fmt, default_threads, main
 
 FIXTURE = str(Path(__file__).parent / "data" / "nominal_scores.csv")
@@ -304,3 +307,11 @@ class TestThreadsDefault:
             default_threads()
         monkeypatch.delenv("OMEGA_THREADS")
         assert default_threads() == (os.cpu_count() or 1)
+
+
+def test_module_run_prints_version():
+    env = dict(os.environ, PYTHONPATH=str(Path(copulagree.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "copulagree.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "copulagree 0.1.0\n"

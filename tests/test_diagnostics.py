@@ -65,6 +65,27 @@ class TestInfluence:
         assert rep3.failed_coders == (1,)
         assert np.isnan(rep3.dfbeta_coders[0]).all()
 
+    def test_coder_owning_an_intra_parameter_is_compared_by_name(self):
+        # coders 1 and 2 score twice and own intra.m1.c1 / intra.m1.c2, which
+        # vanish when they are dropped; the shared parameters still get DFBETAs
+        headers = ["c.1.1", "c.1.2", "c.2.1", "c.2.2", "c.3.1"]
+        corr = np.full((5, 5), 0.6)
+        corr[:2, :2] = 0.8
+        corr[2:4, 2:4] = 0.75
+        np.fill_diagonal(corr, 1.0)
+        rng = np.random.default_rng(1)
+        grid = 10.0 + 2.0 * rng.standard_normal((200, 5)) @ np.linalg.cholesky(corr).T
+        grid[rng.random(grid.shape) < 0.15] = np.nan
+        data = prepare(grid, parse_labels(headers).labels, "interval")
+        fit = fit_agreement(data, confint="none", seed=1)
+        assert fit.param_names[:3] == ("intra.m1.c1", "intra.m1.c2", "inter.m1")
+        rep = influence(fit, coders=[1, 2, 3])
+        assert rep.failed_coders == ()
+        missing = np.isnan(rep.dfbeta_coders)
+        assert missing[0].tolist() == [True, False] + [False] * (len(fit.param_names) - 2)
+        assert missing[1].tolist() == [False, True] + [False] * (len(fit.param_names) - 2)
+        assert not missing[2].any()
+
 
 class TestSimulate:
     def test_degenerate_marginal_gives_constant_scores(self):

@@ -113,15 +113,24 @@ class TestMlObjective:
     def test_invariant_under_unit_reordering(self):
         rng = np.random.default_rng(3)
         grid = rng.normal(size=(9, 2))
-        labs = parse_labels(["c.1.1", "c.2.1"]).labels
-        theta = np.array([0.6, 0.2, 1.1])
-        values = []
-        for order in (np.arange(9), rng.permutation(9)):
-            sm = prepare(grid[order], labs, "interval")
-            model = CopulaModel(build_structure(sm.labels, sm.observed),
-                                "gaussian", sm.scores_flat())
-            values.append(loglik_ml(theta, model))
-        assert values[0] == values[1]
+        # missing cells give three distinct blocks: 3x3, intra 2x2, inter 2x2
+        gappy = rng.normal(size=(12, 3))
+        gappy[[1, 4, 7], 2] = gappy[[2, 8], 0] = gappy[[5, 10], 1] = np.nan
+        cases = [
+            (grid, ["c.1.1", "c.2.1"], [0.6, 0.2, 1.1], 1),
+            (gappy, ["c.1.1", "c.1.2", "c.2.1"], [0.5, 0.3, 0.2, 1.1], 3),
+        ]
+        for scores, headers, theta, n_groups in cases:
+            labs = parse_labels(headers).labels
+            n = len(scores)
+            values = []
+            for order in (np.arange(n), rng.permutation(n)):
+                sm = prepare(scores[order], labs, "interval")
+                structure = build_structure(sm.labels, sm.observed)
+                model = CopulaModel(structure, "gaussian", sm.scores_flat())
+                values.append(loglik_ml(np.array(theta), model))
+            assert len(structure.groups) == n_groups
+            assert values[0] == values[1]
 
     def test_infeasible_psi_gives_minus_inf(self):
         model = CopulaModel(pair_structure(2), "gaussian", np.zeros(4))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copulagree import StructureError, block_logdet_quadform, build_structure, pair_list, parse_labels
 from copulagree.structure import (
     DIAG,
     ZERO,
     AgreementStructure,
+    _pair_param_name,
     materialize_block,
     simulate_latent,
 )
@@ -17,10 +20,19 @@ def labels_of(headers):
     return parse_labels(headers).labels
 
 
-def dense_omega(structure, omega):
-    """Dense block-diagonal oracle matrix."""
-    blocks = [materialize_block(code, omega) for code in structure.blocks]
-    n = structure.n
+def unit_codes(structure):
+    """Per-unit block codes in unit order, read back from the pattern groups."""
+    by_start = {}
+    for code, idx in structure.groups:
+        for row in idx:
+            by_start[row[0]] = code
+    return [by_start[k] for k in sorted(by_start)]
+
+
+def dense_from_codes(codes, omega):
+    """Dense block-diagonal oracle matrix from per-unit codes."""
+    blocks = [materialize_block(code, omega) for code in codes]
+    n = sum(len(b) for b in blocks)
     out = np.zeros((n, n))
     at = 0
     for b in blocks:
@@ -30,11 +42,19 @@ def dense_omega(structure, omega):
     return out
 
 
+def dense_omega(structure, omega):
+    return dense_from_codes(unit_codes(structure), omega)
+
+
+def block_sizes(structure):
+    return [len(code) for code in unit_codes(structure)]
+
+
 def test_four_coder_structure_matches_reference_listing():
     sm = nominal_matrix()
     s = build_structure(sm.labels, sm.observed)
     assert s.param_names == ("inter",)
-    assert s.block_sizes() == [3, 4, 4, 4, 4, 4, 4, 4, 4, 3, 2]
+    assert block_sizes(s) == [3, 4, 4, 4, 4, 4, 4, 4, 4, 3, 2]
     assert s.n == 40
     # first 7x7 corner of the dense matrix with the dummy value 0.1
     corner = dense_omega(s, [0.1])[:7, :7]
@@ -54,7 +74,7 @@ def test_gold_standard_block():
     labs = labels_of(["g", "c.1.1", "c.2.1"])
     s = build_structure(labs, np.ones((1, 3), dtype=bool))
     assert s.param_names == ("gold.m1", "inter.m1")
-    block = s.materialize(0, [0.3, 0.7])
+    block = materialize_block(unit_codes(s)[0], [0.3, 0.7])
     expected = np.array([
         [1.0, 0.3, 0.3],
         [0.3, 1.0, 0.7],
@@ -72,7 +92,7 @@ def test_multi_method_structure():
         "gold.m1", "intra.m1.c1", "intra.m1.c2", "inter.m1",
         "intra.m2.c1", "intra.m2.c2", "inter.m2", "between",
     )
-    code = s.blocks[0]
+    code = unit_codes(s)[0]
     # gold vs method-2 scores is a structural zero
     assert (code[0, 5:] == ZERO).all()
     assert (code[5:, 0] == ZERO).all()
@@ -154,7 +174,7 @@ def test_structure_invariant_to_column_order():
     labs_p = tuple(sm.labels[j] for j in perm)
     s_p = build_structure(labs_p, sm.observed[:, perm])
     assert s_p.param_names == s.param_names
-    assert sorted(s_p.block_sizes()) == sorted(s.block_sizes())
+    assert sorted(block_sizes(s_p)) == sorted(block_sizes(s))
     rng = np.random.default_rng(3)
     z_grid = np.where(sm.observed, rng.normal(size=sm.observed.shape), 0.0)
     z = z_grid[sm.observed]
@@ -184,7 +204,7 @@ def test_pair_list_counts():
 def test_pair_list_skips_structural_zeros_and_lone_blocks():
     # two isolated 1x1 blocks, assembled directly
     one = np.array([[DIAG]], dtype=np.int32)
-    s = AgreementStructure(("inter",), (one, one), (np.array([0]), np.array([0])), 2)
+    s = AgreementStructure(("inter",), ((one, np.array([[0], [1]])),), 2)
     assert pair_list(s).size == 0
 
     headers = ["g.m1", "m1.c.1.1", "m2.c.1.1"]
@@ -204,15 +224,73 @@ def test_simulate_latent_matches_target_correlation():
     assert z[:, 0].std() == pytest.approx(1.0, abs=0.05)
 
 
-def test_summary_mentions_parameters_and_sizes(nominal_data):
-    s = build_structure(nominal_data.labels, nominal_data.observed)
-    text = s.summary()
-    assert "inter" in text
-    assert "3 4 4" in text
-
-
 def test_omega_dimension_checked(nominal_data):
     s = build_structure(nominal_data.labels, nominal_data.observed)
     with pytest.raises(ValueError):
         block_logdet_quadform(s, [0.1, 0.2], np.zeros(s.n))
     assert block_logdet_quadform(s, [np.nan], np.zeros(s.n)) is None
+
+
+@st.composite
+def labelled_masks(draw):
+    """Labels (1-2 methods, 1-3 coders, 1-2 replicates, optional gold), a
+    mask whose rows each observe at least two columns, and a seed."""
+    n_methods = draw(st.integers(1, 2))
+    n_coders = draw(st.integers(1, 3))
+    n_reps = draw(st.integers(1, 2))
+    gold = draw(st.booleans())
+    headers = []
+    for m in range(1, n_methods + 1):
+        headers += [f"g.m{m}"] * gold
+        headers += [f"m{m}.c.{c}.{r}" for c in range(1, n_coders + 1)
+                    for r in range(1, n_reps + 1)]
+    if len(headers) < 2:
+        return None
+    row = st.lists(st.booleans(), min_size=len(headers), max_size=len(headers))
+    mask = draw(st.lists(row.filter(lambda r: sum(r) >= 2), min_size=1, max_size=8))
+    plain = n_methods == 1 and not gold and n_reps == 1
+    return labels_of(headers), np.array(mask, dtype=bool), plain, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(labelled_masks().filter(lambda case: case is not None))
+def test_groups_match_per_unit_enumeration(case):
+    labels, mask, plain, seed = case
+    s = build_structure(labels, mask)
+    # per-unit reference codes and pairs, straight from the pair-naming rule
+    expected_codes, expected_pairs, used = [], [], set()
+    base = 0
+    for row in mask:
+        cols = np.flatnonzero(row)
+        code = np.full((len(cols), len(cols)), DIAG)
+        for r in range(len(cols)):
+            for c in range(r + 1, len(cols)):
+                nm = _pair_param_name(labels[cols[r]], labels[cols[c]], plain)
+                code[r, c] = code[c, r] = ZERO if nm is None else s.param_names.index(nm)
+                if nm is not None:
+                    used.add(nm)
+                    expected_pairs.append((base + r, base + c, code[r, c]))
+        expected_codes.append(code)
+        base += len(cols)
+    assert set(s.param_names) == used
+    assert s.n == base
+    got = unit_codes(s)
+    assert len(got) == len(expected_codes)
+    for a, b in zip(got, expected_codes):
+        assert np.array_equal(a, b)
+    firsts = [idx[0, 0] for _, idx in s.groups]
+    assert firsts == sorted(firsts)
+    expected_pairs = np.array(expected_pairs, dtype=int).reshape(-1, 3)
+    assert np.array_equal(pair_list(s), expected_pairs)
+
+    # entries below 1/(k-1) make every block strictly diagonally dominant,
+    # hence positive definite
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.0, 0.9 / (mask.shape[1] - 1), size=s.n_params)
+    z = rng.normal(size=s.n)
+    logdet, quad = block_logdet_quadform(s, omega, z)
+    dense = dense_from_codes(expected_codes, omega)
+    sign, ref_logdet = np.linalg.slogdet(dense)
+    assert sign == 1.0
+    assert logdet == pytest.approx(ref_logdet, abs=1e-9)
+    assert quad == pytest.approx(z @ np.linalg.solve(dense, z), abs=1e-9)
