@@ -13,6 +13,7 @@ machine-parsable reason.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -87,6 +88,7 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected a comma-separated number list, got {text!r}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog=_PROG, description=__doc__)
     parser.add_argument("--version", action="version", version=f"{_PROG} {__version__}")

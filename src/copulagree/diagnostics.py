@@ -95,7 +95,13 @@ def _refit_without(fit: FitResult, drop_unit: int | None = None,
                               data.n_categories, fit.smp_variant, fit.smp_eps)
     if not opt.converged:
         raise DataError("refit did not converge")
-    return dict(zip(model.param_names(), model.expand(opt.theta)))
+    estimates = dict(zip(model.param_names(), model.expand(opt.theta)))
+    # with one score left per coder the refit names its inter-coder parameter
+    # plain ``inter``; it is the full fit's single-method ``inter.m<method>``
+    method_inter = f"inter.m{data.labels[0].method}"
+    if "inter" in estimates and method_inter in fit.param_names:
+        estimates[method_inter] = estimates.pop("inter")
+    return estimates
 
 
 def influence(fit: FitResult, units=(), coders=()) -> InfluenceReport:

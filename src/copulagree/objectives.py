@@ -21,7 +21,6 @@ from .structure import (
     OMEGA_MAX,
     AgreementStructure,
     block_logdet_quadform,
-    pair_list,
 )
 
 # Probit arguments are clamped before inversion: DT midpoints can hit 0/1
@@ -37,6 +36,16 @@ def _probit(p):
     return ndtri(np.clip(p, _PROBIT_CLIP, 1.0 - _PROBIT_CLIP))
 
 
+def _gl_sum(t):
+    """Gauss-Legendre sum of t[:, g] * w[g] in a fixed order, so each row's
+    value does not depend on the rows beside it (a BLAS matvec may round
+    rows differently by their place in the batch)."""
+    acc = t[:, 0] * _GL_W[0]
+    for g in range(1, _GL_W.size):
+        acc = acc + t[:, g] * _GL_W[g]
+    return acc
+
+
 def _bvnu_small_r(h, k, r):
     # P(X>h, Y>k) for |r| < 0.925 via Gauss-Legendre on the Drezner identity.
     hk = h * k
@@ -44,7 +53,7 @@ def _bvnu_small_r(h, k, r):
     asr = np.arcsin(r)
     sn = np.sin(0.5 * asr[:, None] * (1.0 + _GL_X[None, :]))
     integrand = np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn))
-    bvn = (integrand @ _GL_W) * asr / (4.0 * np.pi)
+    bvn = _gl_sum(integrand) * asr / (4.0 * np.pi)
     return bvn + ndtr(-h) * ndtr(-k)
 
 
@@ -80,7 +89,7 @@ def _bvnu_large_r(h, k, r):
         sp1 = 1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)
         ep = np.exp(-hk[:, None] * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
         terms = np.where(asr1 > -100.0, np.exp(asr1) * (ep - sp1), 0.0)
-        bvn = bvn + a2 * (terms @ _GL_W)
+        bvn = bvn + a2 * _gl_sum(terms)
     bvn = -bvn / twopi
     bvn = np.where(
         r > 0.0,
@@ -94,7 +103,9 @@ def bivariate_normal_cdf(z1, z2, rho):
     """Standard bivariate normal P(Z1 <= z1, Z2 <= z2) with correlation rho.
 
     Vectorized; +-inf arguments are allowed; |rho| must be < 1.  Absolute
-    accuracy is well below 1e-7 (Gauss-Legendre / tail expansion).
+    accuracy is well below 1e-7 (Gauss-Legendre / tail expansion).  The value
+    at each point is a pure function of that point: it is the same bits alone,
+    in any batch and in any position within one.
     """
     z1, z2, rho = np.broadcast_arrays(
         np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), np.asarray(rho, dtype=float)
@@ -225,7 +236,7 @@ class Objective:
 
     kind: str
     model: CopulaModel
-    _pairs: np.ndarray | None = field(default=None, repr=False)
+    _cells: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         fam = self.model.family
@@ -238,7 +249,7 @@ class Objective:
         if self.kind not in ("ml", "dt", "cml", "smp"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.kind == "cml":
-            self._pairs = pair_list(self.model.structure)
+            self._cells = cml_cells(self.model)
 
     def __call__(self, theta) -> float:
         if self.kind == "ml":
@@ -246,7 +257,7 @@ class Objective:
         if self.kind == "dt":
             return loglik_dt(theta, self.model)
         if self.kind == "cml":
-            return loglik_cml(theta, self.model, self._pairs)
+            return loglik_cml(theta, self.model, self._cells)
         omega, _ = self.model.unpack(theta)
         return loglik_smp(omega, self.model.structure, self.model.y)
 
@@ -285,29 +296,71 @@ def loglik_dt(theta, model: CopulaModel) -> float:
     return _loglik_probit(theta, model, dt=True)
 
 
-def loglik_cml(theta, model: CopulaModel, pairs: np.ndarray | None = None) -> float:
-    """Pairwise composite log-likelihood over all nonzero-correlation pairs."""
+def cml_cells(model: CopulaModel):
+    """Distinct CML pair cells ``(ci, cj, param, counts)``.
+
+    A pair's rectangle probability depends only on its two categories and its
+    parameter, since one categorical marginal serves every column, so the
+    within-block nonzero pairs (i < j flat) are tallied by that cell: ``ci``
+    and ``cj`` are the 0-based categories of scores i and j, ``counts`` the
+    number of pairs.  Cells come in ascending (ci, cj, param) order.
+    """
+    k, q = model.n_categories, model.n_omega
+    y = model.y.astype(np.intp) - 1
+    if not (np.array_equal(y + 1, model.y) and ((y >= 0) & (y < k)).all()):
+        raise ValueError(f"cml scores must be integer categories 1..{k}")
+    cells = [np.empty(0, dtype=np.intp)]
+    for code, idx in model.structure.groups:
+        r, c = np.nonzero(np.triu(code >= 0, 1))
+        yg = y[idx]
+        cells.append(((yg[:, r] * k + yg[:, c]) * q + code[r, c]).ravel())
+    counts = np.bincount(np.concatenate(cells), minlength=k * k * q)
+    nz = np.flatnonzero(counts)
+    ci, rest = np.divmod(nz, k * q)
+    cj, param = np.divmod(rest, q)
+    return ci, cj, param, counts[nz]
+
+
+def _weighted_fsum(x, counts) -> float:
+    """``math.fsum(np.repeat(x, counts))`` without the repeat.
+
+    Each x splits exactly into hi + lo with 26-bit halves (Veltkamp), so
+    ``counts * hi`` and ``counts * lo`` are exact for counts below 2**26 and
+    fsum of them is the correctly rounded weighted sum.
+    """
+    t = x * (2.0 ** 27 + 1.0)
+    hi = t - (t - x)
+    lo = x - hi
+    return math.fsum(np.concatenate((counts * hi, counts * lo)))
+
+
+def loglik_cml(theta, model: CopulaModel, cells=None) -> float:
+    """Pairwise composite log-likelihood over all nonzero-correlation pairs.
+
+    Each distinct cell of ``cml_cells`` (computed here when not given) is
+    evaluated once and its log-rectangle weighted by its pair count; the
+    result equals the exactly rounded sum over the pairs one by one.
+    """
     omega, _ = model.unpack(theta)
     fam = model.family_of(theta)
     if fam is None:
         return -np.inf
-    if pairs is None:
-        pairs = pair_list(model.structure)
+    if cells is None:
+        cells = cml_cells(model)
     if not np.isfinite(omega).all() or (np.abs(omega) >= 1.0).any():
         return -np.inf
-    z0 = _probit(fam.cdf(model.y))
-    z1 = _probit(fam.cdf(model.y - 1))
-    i, j, k = pairs[:, 0], pairs[:, 1], pairs[:, 2]
-    rho = omega[k]
-    rect = (
-        bivariate_normal_cdf(z0[i], z0[j], rho)
-        - bivariate_normal_cdf(z0[i], z1[j], rho)
-        - bivariate_normal_cdf(z1[i], z0[j], rho)
-        + bivariate_normal_cdf(z1[i], z1[j], rho)
-    )
+    ci, cj, param, counts = cells
+    # probits of F(0), ..., F(K): category c spans (cut[c], cut[c + 1]]
+    cut = _probit(fam.cdf(np.arange(model.n_categories + 1.0)))
+    a0, a1, b0, b1 = cut[ci + 1], cut[ci], cut[cj + 1], cut[cj]
+    v = bivariate_normal_cdf(
+        np.concatenate((a0, a0, a1, a1)), np.concatenate((b0, b1, b0, b1)),
+        np.tile(omega[param], 4),
+    ).reshape(4, len(ci))
+    rect = v[0] - v[1] - v[2] + v[3]
     if (rect <= 0.0).any():
         return -np.inf
-    return math.fsum(np.log(rect))
+    return _weighted_fsum(np.log(rect), counts)
 
 
 def loglik_smp(omega, structure: AgreementStructure, zhat) -> float:

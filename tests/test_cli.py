@@ -284,6 +284,17 @@ class TestErrorPaths:
                                "--method", "ml")
         assert code == 1
 
+    def test_parser_is_built_once_and_unchanged_by_an_error(self, capsys):
+        assert _build_parser() is _build_parser()
+        args = ["simulate", FIXTURE, "--level", "nominal", "--seed", "3"]
+        code, alone, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        code, _, err = run_cli(capsys, *args, "--format", "yaml")
+        assert code == 1 and err.startswith("error: config:")
+        code, after_error, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        assert after_error == alone
+
     def test_numerical_failure_exits_three(self, capsys, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("c.1.1,c.2.1\n" + "5,5\n" * 4, encoding="utf-8")

@@ -86,6 +86,23 @@ class TestInfluence:
         assert missing[1].tolist() == [False, True] + [False] * (len(fit.param_names) - 2)
         assert not missing[2].any()
 
+    def test_plain_inter_refit_matches_the_method_inter_parameter(self):
+        # without coder 1, each remaining coder scores once, so the refit's
+        # structure names the inter-coder parameter plain ``inter``
+        headers = ["c.1.1", "c.1.2", "c.2.1", "c.3.1"]
+        corr = np.full((4, 4), 0.6)
+        corr[:2, :2] = 0.8
+        np.fill_diagonal(corr, 1.0)
+        rng = np.random.default_rng(2)
+        grid = 10.0 + 2.0 * rng.standard_normal((80, 4)) @ np.linalg.cholesky(corr).T
+        fit = fit_agreement(prepare(grid, parse_labels(headers).labels, "interval"),
+                            confint="none", seed=1)
+        assert fit.param_names[:2] == ("intra.m1.c1", "inter.m1")
+        rep = influence(fit, coders=[1])
+        assert rep.failed_coders == ()
+        assert np.isnan(rep.dfbeta_coders[0]).tolist() == (
+            [True] + [False] * (len(fit.param_names) - 1))
+
 
 class TestSimulate:
     def test_degenerate_marginal_gives_constant_scores(self):

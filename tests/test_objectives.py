@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
@@ -19,6 +24,7 @@ from copulagree import (
     prepare,
 )
 from copulagree.marginals import Categorical
+from copulagree.objectives import _probit, _weighted_fsum
 from copulagree.structure import pair_list
 
 from conftest import nominal_matrix
@@ -49,6 +55,16 @@ def scipy_rect(y1, y2, fam, rho):
             - cdf2(z(y1 - 1), z(y2)) + cdf2(z(y1 - 1), z(y2 - 1)))
 
 
+@st.composite
+def bvn_points(draw):
+    """(z1, z2, rho) with rho on either side of the 0.925 branch point and
+    occasional infinite arguments."""
+    z = st.one_of(st.floats(-8.0, 8.0), st.sampled_from([np.inf, -np.inf]))
+    rho = st.one_of(st.floats(-0.924, 0.924), st.floats(0.925, 0.9999),
+                    st.floats(-0.9999, -0.925))
+    return draw(z), draw(z), draw(rho)
+
+
 class TestBivariateNormalCdf:
     def test_orthant_identity(self):
         for rho in [-0.9, -0.5, 0.0, 0.3, 0.6, 0.9, 0.93, 0.999]:
@@ -71,15 +87,34 @@ class TestBivariateNormalCdf:
                 stats.norm.cdf(a) * stats.norm.cdf(b), abs=1e-12
             )
 
-    def test_against_scipy_reference(self):
-        rng = np.random.default_rng(1)
-        for _ in range(60):
-            a, b = rng.normal(size=2) * 2.0
-            rho = rng.uniform(-0.995, 0.995)
+    @settings(max_examples=200, deadline=None)
+    @given(bvn_points())
+    def test_against_scipy_reference(self, point):
+        a, b, rho = point
+        cov = [[1, rho], [rho, 1]]
+        if a == -np.inf or b == -np.inf:
+            ref = 0.0
+        else:
             ref = stats.multivariate_normal.cdf(
-                [a, b], cov=[[1, rho], [rho, 1]], abseps=1e-13, releps=0.0
+                [min(a, 37.0), min(b, 37.0)], cov=cov, abseps=1e-13, releps=0.0
             )
-            assert bivariate_normal_cdf(a, b, rho) == pytest.approx(ref, abs=1e-7)
+        assert bivariate_normal_cdf(a, b, rho) == pytest.approx(ref, abs=1e-7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(bvn_points(), max_size=40), st.integers(0, 2**32 - 1), st.randoms())
+    def test_value_does_not_depend_on_the_batch(self, points, seed, rnd):
+        # drawn points plus generic ones, whose sums round in their last bits
+        rng = np.random.default_rng(seed)
+        points = points + list(zip(rng.normal(0.0, 2.0, 30), rng.normal(0.0, 2.0, 30),
+                                   rng.uniform(-0.999, 0.999, 30)))
+        z1, z2, rho = map(np.array, zip(*points))
+        batch = bivariate_normal_cdf(z1, z2, rho)
+        alone = [bivariate_normal_cdf(a, b, r) for a, b, r in points]
+        perm = np.array(rnd.sample(range(len(points)), len(points)))
+        permuted = np.empty_like(batch)
+        permuted[perm] = bivariate_normal_cdf(z1[perm], z2[perm], rho[perm])
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(batch, permuted)
 
     def test_rejects_degenerate_correlation(self):
         with pytest.raises(ValueError):
@@ -202,7 +237,65 @@ class TestCmlObjective:
         s = build_structure(nominal_data.labels, nominal_data.observed)
         model = CopulaModel(s, "categorical", nominal_data.scores_flat(), 5)
         obj = Objective("cml", model)
-        assert obj._pairs.shape == pair_list(s).shape
+        assert obj._cells[3].sum() == len(pair_list(s))
+
+
+@st.composite
+def nominal_layouts(draw):
+    """Nominal scores (K = 2..4) under 1-2 methods, 1-3 coders and 1-2
+    replicates, with missing cells; each unit observes at least two."""
+    n_methods = draw(st.integers(1, 2))
+    n_coders = draw(st.integers(1, 3))
+    n_reps = draw(st.integers(1, 2))
+    headers = [f"m{m}.c.{c}.{r}" for m in range(1, n_methods + 1)
+               for c in range(1, n_coders + 1) for r in range(1, n_reps + 1)]
+    if len(headers) < 2:
+        return None
+    k = draw(st.integers(2, 4))
+    cell = st.one_of(st.integers(1, k).map(float), st.just(np.nan))
+    row = st.lists(cell, min_size=len(headers), max_size=len(headers))
+    grid = draw(st.lists(row.filter(lambda r: np.isfinite(r).sum() >= 2),
+                         min_size=1, max_size=12))
+    omega = draw(st.lists(st.floats(0.0, 0.95), min_size=9, max_size=9))
+    p = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    return parse_labels(headers).labels, np.array(grid), k, omega, np.array(p) / sum(p)
+
+
+def cml_model(labels, grid, k):
+    sm = prepare(grid, labels, "nominal", n_categories=k)
+    return CopulaModel(build_structure(sm.labels, sm.observed), "categorical",
+                       sm.scores_flat(), k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nominal_layouts().filter(lambda case: case is not None), st.randoms())
+def test_cml_equals_per_pair_sum_and_ignores_unit_order(case, rnd):
+    labels, grid, k, omega, p = case
+    model = cml_model(labels, grid, k)
+    theta = np.concatenate([omega[: model.n_omega], p[:-1]])
+    # oracle: every pair evaluated on its own, summed exactly
+    fam = model.family_of(theta)
+    z0, z1 = _probit(fam.cdf(model.y)), _probit(fam.cdf(model.y - 1))
+    i, j, q = pair_list(model.structure).T
+    rho = np.asarray(omega)[q]
+    rect = (bivariate_normal_cdf(z0[i], z0[j], rho) - bivariate_normal_cdf(z0[i], z1[j], rho)
+            - bivariate_normal_cdf(z1[i], z0[j], rho) + bivariate_normal_cdf(z1[i], z1[j], rho))
+    expected = math.fsum(np.log(rect)) if (rect > 0.0).all() else -np.inf
+    assert loglik_cml(theta, model) == expected
+    order = rnd.sample(range(len(grid)), len(grid))
+    assert loglik_cml(theta, cml_model(labels, grid[order], k)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-200),
+                          st.integers(1, 2**26 - 1)), max_size=30))
+def test_weighted_fsum_is_the_exact_weighted_sum(terms):
+    x = np.array([v for v, _ in terms], dtype=float)
+    counts = np.array([c for _, c in terms], dtype=np.int64)
+    # float(Fraction) and fsum both round the exact sum correctly
+    assert _weighted_fsum(x, counts) == float(sum(Fraction(v) * c for v, c in terms))
+    few = np.minimum(counts, 50)
+    assert _weighted_fsum(x, few) == math.fsum(np.repeat(x, few))
 
 
 class TestSmpObjective:
