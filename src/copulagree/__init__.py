@@ -41,7 +41,6 @@ from .errors import (
 )
 from .fit import (
     FitResult,
-    OptimizeFit,
     asymptotic_interval,
     fit_agreement,
     fit_semiparametric,
@@ -56,7 +55,6 @@ from .marginals import (
     empirical_cdf,
     initial_params,
     make_family,
-    max_binary_correlation,
     median_unbiased_quantile,
 )
 from .objectives import (
@@ -72,7 +70,6 @@ from .objectives import (
 )
 from .scores import (
     ColumnLabel,
-    LabelCheck,
     ScoreMatrix,
     embed_original,
     parse_labels,
@@ -98,11 +95,9 @@ __all__ = [
     "FitResult",
     "InfluenceReport",
     "IntervalError",
-    "LabelCheck",
     "LevelError",
     "NumericalError",
     "Objective",
-    "OptimizeFit",
     "PosteriorResult",
     "SamplerControl",
     "ScoreMatrix",
@@ -131,7 +126,6 @@ __all__ = [
     "loglik_ml",
     "loglik_smp",
     "make_family",
-    "max_binary_correlation",
     "mcse",
     "median_unbiased_quantile",
     "model_probability",

@@ -143,17 +143,6 @@ def _log_prior_mu(x: float) -> float:
     return -0.5 * (x / _MU_SD) ** 2 - 0.5 * np.log(2.0 * np.pi) - np.log(_MU_SD)
 
 
-# proposal kind and tuning slot (1 -> sigma_1, 2 -> sigma_2) per family parameter
-_PSI_PROPOSALS = {
-    "gaussian": (("mu", "walk", 1), ("sigma", "lognormal", 2)),
-    "laplace": (("mu", "walk", 1), ("sigma", "lognormal", 2)),
-    "t": (("nu", "lognormal", 1), ("mu", "walk", 2)),
-    "gamma": (("alpha", "lognormal", 1), ("beta", "lognormal", 2)),
-    "beta": (("alpha", "lognormal", 1), ("beta", "lognormal", 2)),
-    "kumaraswamy": (("a", "lognormal", 1), ("b", "lognormal", 2)),
-}
-
-
 def run_chain(loglik, omega_names, psi_updates, omega0, psi0, control: SamplerControl,
               seed=None):
     """Drive the MH chain; ``loglik(omega, psi) -> float`` is the data term.
@@ -243,10 +232,7 @@ def sample_posterior(data: ScoreMatrix, control: SamplerControl | None = None,
     control = control or SamplerControl()
     if data.level not in ("interval", "ratio"):
         raise ConfigError("posterior sampling requires interval or ratio scores")
-    if data.level == "interval" and control.dist in ("beta", "kumaraswamy"):
-        raise ConfigError(f"{control.dist!r} is a ratio-level family")
-    if data.level == "ratio" and control.dist not in ("beta", "kumaraswamy"):
-        raise ConfigError(f"{control.dist!r} is not a ratio-level family")
+    marginals.check_level(control.dist, data.level)
 
     structure = build_structure(data.labels, data.observed)
     model = CopulaModel(structure, control.dist, data.scores_flat())
@@ -257,27 +243,20 @@ def sample_posterior(data: ScoreMatrix, control: SamplerControl | None = None,
         return objective(np.concatenate([omega, psi]))
 
     psi0 = marginals.initial_params(model.y, control.dist)
-    updates = []
-    for nm, kind, slot, prior in [
-        (u[0], u[1], u[2], _log_prior_mu if u[0] == "mu" else _log_prior_positive)
-        for u in _PSI_PROPOSALS[control.dist]
-    ]:
-        sigma = control.sigma_1 if slot == 1 else control.sigma_2
-        updates.append((nm, kind, sigma, prior))
+    # location: plain walk, normal prior; positive: log-normal step, gamma prior
+    updates = [
+        (nm, "walk", sigma, _log_prior_mu) if nm == marginals.LOCATION
+        else (nm, "lognormal", sigma, _log_prior_positive)
+        for nm, sigma in zip(marginals.family_param_names(control.dist),
+                             (control.sigma_1, control.sigma_2))
+    ]
 
     samples, lls, counts, taken, converged = run_chain(
         loglik, structure.param_names, updates, np.full(m, 0.5), psi0, control, seed
     )
 
     means = samples.mean(axis=0)
-    lower = np.array([
-        marginals.median_unbiased_quantile(samples[:, j], 0.025)
-        for j in range(samples.shape[1])
-    ])
-    upper = np.array([
-        marginals.median_unbiased_quantile(samples[:, j], 0.975)
-        for j in range(samples.shape[1])
-    ])
+    lower, upper = np.quantile(samples, [0.025, 0.975], axis=0, method="median_unbiased")
     ses = np.array([mcse(samples[:, j]) for j in range(samples.shape[1])])
 
     d_draws = -2.0 * lls

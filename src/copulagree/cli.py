@@ -30,6 +30,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .fit import fit_agreement, resolve_seed
+from .marginals import CONTINUOUS_FAMILIES
 from .scores import embed_original, format_score_csv, read_score_csv
 
 _PROG = "copulagree"
@@ -110,7 +111,7 @@ def _build_parser() -> _Parser:
     common(p_fit)
     p_fit.add_argument("--method", choices=["ml", "dt", "cml", "smp"], default=None)
     p_fit.add_argument("--dist", default=None,
-                       help="marginal family (gaussian/laplace/t/gamma/beta/kumaraswamy)")
+                       help=f"marginal family ({'/'.join(CONTINUOUS_FAMILIES)})")
     p_fit.add_argument("--confint", choices=["none", "asymptotic", "bootstrap"],
                        default="asymptotic")
     p_fit.add_argument("--bootit", type=int, default=None,

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import marginals
 from .errors import ConfigError, DataError
@@ -194,9 +195,7 @@ def krippendorff_alpha(data: ScoreMatrix, n_b: int = 1000, seed=None,
     unit_values = [data.values[i][data.observed[i]] for i in range(data.n_units)]
     alpha = _alpha_value(unit_values)
     draws = np.asarray(parallel_map(_alpha_worker, (unit_values, seed), n_b, threads))
-    from scipy.stats import norm
-
-    z = norm.ppf(0.5 + conf_level / 2.0)
+    z = ndtri(0.5 + conf_level / 2.0)
     sd = draws.std(ddof=1)
     lo_q, hi_q = marginals.median_unbiased_quantile(
         draws, [0.5 - conf_level / 2.0, 0.5 + conf_level / 2.0]

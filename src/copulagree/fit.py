@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import marginals
 from .errors import ConfigError, DataError, IntervalError
@@ -51,9 +50,6 @@ _TAG_BOOT = 2
 _TAG_SMP_BOOT = 3
 _TAG_SIMULATE = 4
 _TAG_ALPHA = 5
-
-_INTERVAL_DISTS = ("gaussian", "laplace", "t", "gamma")
-_RATIO_DISTS = ("beta", "kumaraswamy")
 
 
 def resolve_seed(seed) -> int:
@@ -339,7 +335,7 @@ def asymptotic_interval(fit: FitResult, conf_level: float = 0.95,
     cov_rep = a @ cov_theta @ a.T
     cov_rep = 0.5 * (cov_rep + cov_rep.T)
     se = np.sqrt(np.clip(np.diag(cov_rep), 0.0, None))
-    z = norm.ppf(0.5 + conf_level / 2.0)
+    z = ndtri(0.5 + conf_level / 2.0)
     est = fit.estimates
     return est - z * se, est + z * se, cov_rep, score_cov
 
@@ -360,7 +356,7 @@ def bootstrap_intervals(draws: np.ndarray, center: np.ndarray, interval: str,
     """Gaussian (center +- z * sd) or median-unbiased quantile interval from draws."""
     alpha = 1.0 - conf_level
     if interval == "gaussian":
-        z = norm.ppf(0.5 + conf_level / 2.0)
+        z = ndtri(0.5 + conf_level / 2.0)
         sd = draws.std(axis=0, ddof=1)
         return center - z * sd, center + z * sd
     if interval == "quantile":
@@ -404,17 +400,7 @@ def _default_dist(level: str, dist: str | None) -> str:
         if dist not in (None, "categorical"):
             raise ConfigError("nominal/ordinal scores use the categorical marginal")
         return "categorical"
-    if level == "interval":
-        dist = dist or "gaussian"
-        if dist not in _INTERVAL_DISTS:
-            raise ConfigError(
-                f"dist {dist!r} is not an interval-level family {_INTERVAL_DISTS}"
-            )
-        return dist
-    dist = dist or "beta"
-    if dist not in _RATIO_DISTS:
-        raise ConfigError(f"dist {dist!r} is not a ratio-level family {_RATIO_DISTS}")
-    return dist
+    return marginals.check_level(dist or ("gaussian" if level == "interval" else "beta"), level)
 
 
 def fit_agreement(data: ScoreMatrix, *, method: str | None = None, dist: str | None = None,

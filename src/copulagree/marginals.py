@@ -1,28 +1,36 @@
 """Marginal distribution families: cdf, density/mass, quantile, starting values.
 
-Supported families (selected by tag): ``categorical``, ``gaussian``,
-``laplace``, ``t``, ``gamma``, ``beta``, ``kumaraswamy``, ``empirical``.
-The Student t is the two-parameter location form (df ``nu``, location ``mu``,
-unit scale); the gamma uses a rate parameter ``beta``.
+Supported families (selected by tag): ``categorical``, the six continuous
+families of ``_TABLE`` (``gaussian``, ``laplace``, ``t``, ``gamma``, ``beta``,
+``kumaraswamy``) and ``empirical``.
+
+``_TABLE`` is the single place that defines the continuous families: each
+entry holds the names of psi = (a, b), the level of measurement the family
+serves, its support, and its cdf, log-density and quantile written with
+``scipy.special`` ufuncs.  ``Parametric(tag, a, b)`` evaluates an entry, and
+parameter names, bounds, feasibility, the level check, the CLI's family list
+and the sampler's proposals are all read from the table: a parameter named
+``mu`` is a free location, every other one is strictly positive.  The Student
+t is the two-parameter location form (df ``nu``, location ``mu``, unit
+scale); the gamma uses a rate parameter ``beta``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special as sc
 
-from .errors import DegenerateDataError
+from .errors import ConfigError, DegenerateDataError
 
 # Probability floor for categorical cells during optimization.
 DELTA_P = 1e-4
 # Lower bound for strictly positive shape/scale parameters.
 POS_MIN = 1e-6
-
-CONTINUOUS_FAMILIES = ("gaussian", "laplace", "t", "gamma", "beta", "kumaraswamy")
-DISCRETE_FAMILIES = ("categorical",)
-FAMILIES = DISCRETE_FAMILIES + CONTINUOUS_FAMILIES + ("empirical",)
+# The one free (real-valued) marginal parameter name; all others are > 0.
+LOCATION = "mu"
 
 
 @dataclass(frozen=True)
@@ -60,116 +68,110 @@ class Categorical:
 
 
 @dataclass(frozen=True)
-class Gaussian:
-    mu: float
-    sigma: float
-    tag = "gaussian"
-    discrete = False
+class _Family:
+    """One continuous family: ``cdf``/``logpdf`` take (y, a, b) on the support
+    and ``ppf`` takes (u, a, b) on (0, 1)."""
 
-    def cdf(self, y):
-        return stats.norm.cdf(y, loc=self.mu, scale=self.sigma)
-
-    def logpdf(self, y):
-        return stats.norm.logpdf(y, loc=self.mu, scale=self.sigma)
-
-    def quantile(self, u):
-        return stats.norm.ppf(u, loc=self.mu, scale=self.sigma)
+    psi: tuple[str, str]
+    level: str
+    support: tuple[float, float]
+    cdf: Callable
+    logpdf: Callable
+    ppf: Callable
 
 
-@dataclass(frozen=True)
-class Laplace:
-    mu: float
-    sigma: float
-    tag = "laplace"
-    discrete = False
-
-    def cdf(self, y):
-        return stats.laplace.cdf(y, loc=self.mu, scale=self.sigma)
-
-    def logpdf(self, y):
-        return stats.laplace.logpdf(y, loc=self.mu, scale=self.sigma)
-
-    def quantile(self, u):
-        return stats.laplace.ppf(u, loc=self.mu, scale=self.sigma)
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
-@dataclass(frozen=True)
-class StudentT:
-    nu: float
-    mu: float
-    tag = "t"
-    discrete = False
-
-    def cdf(self, y):
-        return stats.t.cdf(y, df=self.nu, loc=self.mu)
-
-    def logpdf(self, y):
-        return stats.t.logpdf(y, df=self.nu, loc=self.mu)
-
-    def quantile(self, u):
-        return stats.t.ppf(u, df=self.nu, loc=self.mu)
+def _laplace_cdf(y, mu, sigma):
+    x = (y - mu) / sigma
+    half_tail = 0.5 * np.exp(-np.abs(x))
+    return np.where(x > 0, 1.0 - half_tail, half_tail)
 
 
-@dataclass(frozen=True)
-class Gamma:
-    alpha: float
-    beta: float  # rate
+# The gaussian, t, gamma and beta entries repeat the arithmetic of scipy.stats
+# step for step (the gamma divides by its scale 1/beta), so they return its
+# values bit for bit.  The laplace log-density is the closed form, where
+# scipy.stats takes log(0.5 exp(-|x|)), which is -inf beyond |x| of about 745.
+_TABLE = {
+    "gaussian": _Family(
+        ("mu", "sigma"), "interval", (-np.inf, np.inf),
+        cdf=lambda y, mu, sigma: sc.ndtr((y - mu) / sigma),
+        logpdf=lambda y, mu, sigma: -((y - mu) / sigma) ** 2 / 2.0 - _LOG_SQRT_2PI - np.log(sigma),
+        ppf=lambda u, mu, sigma: sc.ndtri(u) * sigma + mu,
+    ),
+    "laplace": _Family(
+        ("mu", "sigma"), "interval", (-np.inf, np.inf),
+        cdf=_laplace_cdf,
+        logpdf=lambda y, mu, sigma: -np.abs((y - mu) / sigma) - np.log(2.0 * sigma),
+        ppf=lambda u, mu, sigma: (np.where(u > 0.5, -np.log(2 * (1 - u)), np.log(2 * u)) * sigma
+                                  + mu),
+    ),
+    "t": _Family(
+        ("nu", "mu"), "interval", (-np.inf, np.inf),
+        cdf=lambda y, nu, mu: sc.stdtr(nu, y - mu),
+        logpdf=lambda y, nu, mu: (
+            np.log(sc.poch(0.5 * nu, 0.5)) - 0.5 * (np.log(nu) + np.log(np.pi))
+            - (nu + 1) / 2 * np.log1p((y - mu) ** 2 / nu)),
+        ppf=lambda u, nu, mu: sc.stdtrit(nu, u) + mu,
+    ),
+    "gamma": _Family(
+        ("alpha", "beta"), "interval", (0.0, np.inf),
+        cdf=lambda y, alpha, beta: sc.gammainc(alpha, y / (1.0 / beta)),
+        logpdf=lambda y, alpha, beta: (sc.xlogy(alpha - 1.0, y / (1.0 / beta)) - y / (1.0 / beta)
+                                       - sc.gammaln(alpha) - np.log(1.0 / beta)),
+        ppf=lambda u, alpha, beta: sc.gammaincinv(alpha, u) * (1.0 / beta),
+    ),
+    "beta": _Family(
+        ("alpha", "beta"), "ratio", (0.0, 1.0),
+        cdf=lambda y, alpha, beta: sc.betainc(alpha, beta, y),
+        logpdf=lambda y, alpha, beta: (sc.xlog1py(beta - 1.0, -y) + sc.xlogy(alpha - 1.0, y)
+                                       - sc.betaln(alpha, beta)),
+        ppf=lambda u, alpha, beta: sc.betaincinv(alpha, beta, u),
+    ),
+    "kumaraswamy": _Family(
+        ("a", "b"), "ratio", (0.0, 1.0),
+        cdf=lambda y, a, b: -np.expm1(b * np.log1p(-(y**a))),
+        logpdf=lambda y, a, b: np.log(a * b) + sc.xlogy(a - 1.0, y) + sc.xlog1py(b - 1.0, -(y**a)),
+        ppf=lambda u, a, b: (-np.expm1(np.log1p(-u) / b)) ** (1.0 / a),
+    ),
+}
 
-    tag = "gamma"
-    discrete = False
-
-    def cdf(self, y):
-        return stats.gamma.cdf(y, a=self.alpha, scale=1.0 / self.beta)
-
-    def logpdf(self, y):
-        return stats.gamma.logpdf(y, a=self.alpha, scale=1.0 / self.beta)
-
-    def quantile(self, u):
-        return stats.gamma.ppf(u, a=self.alpha, scale=1.0 / self.beta)
-
-
-@dataclass(frozen=True)
-class Beta:
-    alpha: float
-    beta: float
-    tag = "beta"
-    discrete = False
-
-    def cdf(self, y):
-        return stats.beta.cdf(y, a=self.alpha, b=self.beta)
-
-    def logpdf(self, y):
-        return stats.beta.logpdf(y, a=self.alpha, b=self.beta)
-
-    def quantile(self, u):
-        return stats.beta.ppf(u, a=self.alpha, b=self.beta)
+CONTINUOUS_FAMILIES = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
-class Kumaraswamy:
+class Parametric:
+    """The continuous family ``_TABLE[tag]`` at psi = (a, b).
+
+    As in ``scipy.stats``, the cdf is exactly 0 below the support and 1 above
+    it, the log-density is -inf outside the closed support, the quantile maps
+    0 and 1 to the support's ends, and NaN stays NaN.
+    """
+
+    tag: str
     a: float
     b: float
-    tag = "kumaraswamy"
     discrete = False
 
+    def _at(self, x, name):
+        """x as floats, the support, and the table's ``name`` function at x."""
+        fam = _TABLE[self.tag]
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            return x, fam.support, getattr(fam, name)(x, self.a, self.b)
+
     def cdf(self, y):
-        y = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
-        return 1.0 - (1.0 - y**self.a) ** self.b
+        y, (lo, hi), f = self._at(y, "cdf")
+        return np.where(y <= lo, 0.0, np.where(y >= hi, 1.0, f))[()]
 
     def logpdf(self, y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (
-                np.log(self.a)
-                + np.log(self.b)
-                + (self.a - 1.0) * np.log(y)
-                + (self.b - 1.0) * np.log1p(-(y**self.a))
-            )
-        return np.where((y > 0.0) & (y < 1.0), out, -np.inf)
+        y, (lo, hi), f = self._at(y, "logpdf")
+        return np.where((y < lo) | (y > hi), -np.inf, f)[()]
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return (1.0 - (1.0 - u) ** (1.0 / self.b)) ** (1.0 / self.a)
+        u, (lo, hi), f = self._at(u, "ppf")
+        return np.where(u == 0.0, lo, np.where(u == 1.0, hi, f))[()]
 
 
 @dataclass(frozen=True)
@@ -229,24 +231,6 @@ def median_unbiased_quantile(sample, prob):
     return np.quantile(np.asarray(sample, dtype=float), prob, method="median_unbiased")
 
 
-def max_binary_correlation(p1: float, p2: float) -> float:
-    """Upper bound on the correlation of two binary variables with means p1, p2."""
-    if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
-        raise ValueError("success probabilities must lie in (0, 1)")
-    r = np.sqrt(p1 * (1.0 - p2) / (p2 * (1.0 - p1)))
-    return float(min(r, 1.0 / r))
-
-
-_PSI_NAMES = {
-    "gaussian": ("mu", "sigma"),
-    "laplace": ("mu", "sigma"),
-    "t": ("nu", "mu"),
-    "gamma": ("alpha", "beta"),
-    "beta": ("alpha", "beta"),
-    "kumaraswamy": ("a", "b"),
-}
-
-
 def family_param_names(family: str, n_categories: int | None = None) -> tuple[str, ...]:
     """Reported parameter names (full probability vector for categorical)."""
     if family == "categorical":
@@ -255,25 +239,22 @@ def family_param_names(family: str, n_categories: int | None = None) -> tuple[st
         return tuple(f"p{k}" for k in range(1, n_categories + 1))
     if family == "empirical":
         return ()
-    return _PSI_NAMES[family]
-
-
-def psi_dim(family: str, n_categories: int | None = None) -> int:
-    """Number of free marginal parameters (K-1 for categorical, p_K derived)."""
-    if family == "categorical":
-        return n_categories - 1
-    if family == "empirical":
-        return 0
-    return 2
+    return _TABLE[family].psi
 
 
 def psi_bounds(family: str, n_categories: int | None = None) -> list[tuple[float | None, float | None]]:
     if family == "categorical":
         return [(DELTA_P, 1.0 - DELTA_P)] * (n_categories - 1)
-    if family == "empirical":
-        return []
-    names = _PSI_NAMES[family]
-    return [(None, None) if nm == "mu" else (POS_MIN, None) for nm in names]
+    return [(None, None) if nm == LOCATION else (POS_MIN, None)
+            for nm in family_param_names(family)]
+
+
+def check_level(family: str, level: str) -> str:
+    """Return ``family`` if it is a continuous family for ``level`` scores."""
+    allowed = tuple(tag for tag, fam in _TABLE.items() if fam.level == level)
+    if family not in allowed:
+        raise ConfigError(f"dist {family!r} does not model {level} scores; use one of {allowed}")
+    return family
 
 
 def make_family(family: str, psi, n_categories: int | None = None):
@@ -290,19 +271,10 @@ def make_family(family: str, psi, n_categories: int | None = None):
         if (p < DELTA_P).any() or (p > 1.0 - DELTA_P).any():
             return None
         return Categorical(p)
-    if family == "gaussian":
-        return Gaussian(psi[0], psi[1]) if psi[1] > 0 else None
-    if family == "laplace":
-        return Laplace(psi[0], psi[1]) if psi[1] > 0 else None
-    if family == "t":
-        return StudentT(psi[0], psi[1]) if psi[0] > 0 else None
-    if family == "gamma":
-        return Gamma(psi[0], psi[1]) if min(psi) > 0 else None
-    if family == "beta":
-        return Beta(psi[0], psi[1]) if min(psi) > 0 else None
-    if family == "kumaraswamy":
-        return Kumaraswamy(psi[0], psi[1]) if min(psi) > 0 else None
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _TABLE:
+        raise ValueError(f"unknown family {family!r}")
+    positive = [v for nm, v in zip(_TABLE[family].psi, psi) if nm != LOCATION]
+    return Parametric(family, *psi) if min(positive) > 0 else None
 
 
 def initial_params(data, family: str, n_categories: int | None = None) -> np.ndarray:
@@ -330,17 +302,13 @@ def initial_params(data, family: str, n_categories: int | None = None) -> np.nda
         med = np.median(y)
         mad = 1.4826 * np.median(np.abs(y - med))
         return np.array([max(mad, POS_MIN), med])
-    if family == "gamma":
+    if family in ("gamma", "beta"):
         s2 = y.var(ddof=1)
         if s2 <= 0.0:
-            raise DegenerateDataError("zero sample variance: gamma starting values undefined")
+            raise DegenerateDataError(f"zero sample variance: {family} starting values undefined")
         ybar = y.mean()
-        return np.array([max(ybar**2 / s2, POS_MIN), max(ybar / s2, POS_MIN)])
-    if family == "beta":
-        s2 = y.var(ddof=1)
-        if s2 <= 0.0:
-            raise DegenerateDataError("zero sample variance: beta starting values undefined")
-        ybar = y.mean()
+        if family == "gamma":
+            return np.array([max(ybar**2 / s2, POS_MIN), max(ybar / s2, POS_MIN)])
         f = ybar * (1.0 - ybar) / s2 - 1.0
         return np.array([max(ybar * f, POS_MIN), max((1.0 - ybar) * f, POS_MIN)])
     if family == "kumaraswamy":

@@ -168,12 +168,8 @@ class CopulaModel:
         return self.structure.n_params
 
     @property
-    def psi_dim(self) -> int:
-        return marginals.psi_dim(self.family, self.n_categories)
-
-    @property
     def theta_dim(self) -> int:
-        return self.n_omega + self.psi_dim
+        return len(self.bounds())
 
     def bounds(self) -> list[tuple[float | None, float | None]]:
         return [(0.0, OMEGA_MAX)] * self.n_omega + marginals.psi_bounds(

@@ -15,8 +15,9 @@ from copulagree import (
     sample_posterior,
     simulate_flat,
 )
-from copulagree.bayes import run_chain, _log_prior_positive
-from copulagree.marginals import Laplace
+from copulagree import bayes
+from copulagree.bayes import run_chain, _log_prior_mu, _log_prior_positive
+from copulagree.marginals import CONTINUOUS_FAMILIES, make_family
 
 from conftest import make_pair_data
 
@@ -24,7 +25,8 @@ from conftest import make_pair_data
 def laplace_pairs(n_units=300, omega=0.8, mu=26.5, sigma=4.7, seed=77):
     labs = parse_labels(["c.1.1", "c.2.1"]).labels
     structure = build_structure(labs, np.ones((n_units, 2), dtype=bool))
-    y = simulate_flat(structure, [omega], Laplace(mu, sigma), np.random.default_rng(seed))
+    y = simulate_flat(structure, [omega], make_family("laplace", [mu, sigma]),
+                      np.random.default_rng(seed))
     return make_pair_data(n_units, y)
 
 
@@ -154,7 +156,7 @@ class TestPosterior:
         parsed = parse_labels(labs).labels
         structure = build_structure(parsed, np.ones((80, 3), dtype=bool))
         rng = np.random.default_rng(6)
-        y = simulate_flat(structure, [0.6, 0.5], Laplace(0.0, 1.0), rng)
+        y = simulate_flat(structure, [0.6, 0.5], make_family("laplace", [0.0, 1.0]), rng)
         data = make_pair_data(80, y, labels=tuple(labs))
         ctrl = SamplerControl(dist="laplace", minit=1000, maxit=1000, sigma_omega=0.4)
         post = sample_posterior(data, ctrl, seed=7)
@@ -180,6 +182,46 @@ class TestPosterior:
         cv = post.mcse_values / np.abs(post.means)
         assert (cv < ctrl.tol).all()
         assert post.draws_taken % ctrl.minit == 0
+
+
+# The per-family proposal table that sample_posterior read before the marginal
+# families were defined in one table: (name, kind, tuning slot), where slot 1
+# is sigma_1 and slot 2 is sigma_2; the location prior goes with "mu".
+_FORMER_PSI_PROPOSALS = {
+    "gaussian": (("mu", "walk", 1), ("sigma", "lognormal", 2)),
+    "laplace": (("mu", "walk", 1), ("sigma", "lognormal", 2)),
+    "t": (("nu", "lognormal", 1), ("mu", "walk", 2)),
+    "gamma": (("alpha", "lognormal", 1), ("beta", "lognormal", 2)),
+    "beta": (("alpha", "lognormal", 1), ("beta", "lognormal", 2)),
+    "kumaraswamy": (("a", "lognormal", 1), ("b", "lognormal", 2)),
+}
+
+
+class _ChainStarted(Exception):
+    pass
+
+
+def test_psi_updates_match_the_former_proposal_table(monkeypatch):
+    def capture(loglik, omega_names, psi_updates, *args):
+        raise _ChainStarted(psi_updates)
+
+    monkeypatch.setattr(bayes, "run_chain", capture)
+    interval = laplace_pairs(n_units=40)
+    labs = parse_labels(["c.1.1", "c.2.1"]).labels
+    structure = build_structure(labs, np.ones((40, 2), dtype=bool))
+    y = simulate_flat(structure, [0.8], make_family("beta", [2.0, 3.0]), np.random.default_rng(5))
+    ratio = make_pair_data(40, y, level="ratio")
+    slot = {0.11: 1, 0.22: 2}
+    assert set(_FORMER_PSI_PROPOSALS) == set(CONTINUOUS_FAMILIES)
+    for dist, expected in _FORMER_PSI_PROPOSALS.items():
+        data = ratio if dist in ("beta", "kumaraswamy") else interval
+        with pytest.raises(_ChainStarted) as started:
+            sample_posterior(data, SamplerControl(dist=dist, sigma_1=0.11, sigma_2=0.22), seed=1)
+        built = [(nm, kind, slot[sigma], prior) for nm, kind, sigma, prior in started.value.args[0]]
+        assert built == [
+            (nm, kind, s, _log_prior_mu if nm == "mu" else _log_prior_positive)
+            for nm, kind, s in expected
+        ], dist
 
 
 class TestDic:

@@ -21,11 +21,11 @@ def run_cli(capsys, *argv):
 
 def write_pairs_csv(path, n=60, omega=0.7, seed=3):
     from copulagree import build_structure, parse_labels, simulate_flat
-    from copulagree.marginals import Gaussian
+    from copulagree.marginals import make_family
 
     labs = parse_labels(["c.1.1", "c.2.1"]).labels
     structure = build_structure(labs, np.ones((n, 2), dtype=bool))
-    y = simulate_flat(structure, [omega], Gaussian(20.0, 3.0),
+    y = simulate_flat(structure, [omega], make_family("gaussian", [20.0, 3.0]),
                       np.random.default_rng(seed)).reshape(n, 2)
     # float() first: under numpy >= 2 the repr of a numpy scalar is
     # "np.float64(...)", which is not a score.
@@ -326,3 +326,12 @@ def test_module_run_prints_version():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "copulagree 0.1.0\n"
+
+
+def test_import_does_not_load_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(copulagree.__file__).parents[1]))
+    code = "import sys, copulagree; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

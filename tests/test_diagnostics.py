@@ -17,7 +17,7 @@ from copulagree import (
     simulate_scores,
 )
 from copulagree.diagnostics import _alpha_value
-from copulagree.marginals import Categorical, Gaussian
+from copulagree.marginals import Categorical
 
 from conftest import NOMINAL_GRID, nominal_matrix, make_pair_data
 

@@ -18,7 +18,7 @@ from copulagree import (
     simulate_flat,
 )
 from copulagree.fit import _invert_information, observed_information
-from copulagree.marginals import Gaussian, Laplace
+from copulagree.marginals import make_family
 
 from conftest import make_pair_data
 
@@ -99,7 +99,7 @@ class TestOptimize:
         )
 
     def test_independence_recovered_from_null_data(self):
-        y = simulate_pair_scores(500, 0.0, Gaussian(0.0, 1.0), seed=11)
+        y = simulate_pair_scores(500, 0.0, make_family("gaussian", [0.0, 1.0]), seed=11)
         sm = make_pair_data(500, y)
         fit = fit_agreement(sm, confint="none", seed=1)
         assert fit.method == "ml"
@@ -123,7 +123,7 @@ class TestAsymptoticIntervals:
     def test_interval_width_scales_with_root_n(self):
         widths = {}
         for n_units in (50, 200):
-            y = simulate_pair_scores(n_units, 0.4, Gaussian(1.0, 2.0), seed=21)
+            y = simulate_pair_scores(n_units, 0.4, make_family("gaussian", [1.0, 2.0]), seed=21)
             sm = make_pair_data(n_units, y)
             fit = fit_agreement(sm, confint="asymptotic", seed=2)
             widths[n_units] = fit.upper[1] - fit.lower[1]  # mu interval
@@ -139,7 +139,7 @@ class TestAsymptoticIntervals:
             _invert_information(info)
 
     def test_smp_has_no_asymptotic_contract(self):
-        y = simulate_pair_scores(40, 0.5, Gaussian(0.0, 1.0), seed=3)
+        y = simulate_pair_scores(40, 0.5, make_family("gaussian", [0.0, 1.0]), seed=3)
         sm = make_pair_data(40, y)
         with pytest.raises(ConfigError):
             fit_agreement(sm, method="smp", confint="asymptotic")
@@ -153,7 +153,7 @@ class TestSandwich:
         assert (np.diag(j) >= 0.0).all()
 
     def test_independence_decorrelates_scores(self):
-        y = simulate_pair_scores(300, 0.0, Gaussian(0.0, 1.0), seed=31)
+        y = simulate_pair_scores(300, 0.0, make_family("gaussian", [0.0, 1.0]), seed=31)
         sm = make_pair_data(300, y)
         fit = fit_agreement(sm, confint="none", seed=4)
         fit.theta[0] = 0.05  # interior point so gradients exist on both sides
@@ -177,7 +177,7 @@ class TestFullBootstrap:
         assert np.isfinite(mcse).all() or (mcse > 0).all()
 
     def test_independence_interval_contains_zero(self):
-        y = simulate_pair_scores(200, 0.0, Gaussian(0.0, 1.0), seed=41)
+        y = simulate_pair_scores(200, 0.0, make_family("gaussian", [0.0, 1.0]), seed=41)
         sm = make_pair_data(200, y)
         fit = fit_agreement(sm, confint="bootstrap", bootit=60, seed=10)
         assert fit.lower[0] <= 0.0 <= fit.upper[0]
@@ -189,7 +189,7 @@ class TestFullBootstrap:
         assert np.array_equal(d1, d2)
         assert np.array_equal(d1, d3)
         # the semiparametric fit shares the worker and the reducer
-        y = simulate_pair_scores(40, 0.6, Gaussian(0.0, 1.0), seed=15)
+        y = simulate_pair_scores(40, 0.6, make_family("gaussian", [0.0, 1.0]), seed=15)
         smp_fit = fit_semiparametric(make_pair_data(40, y), confint="none", seed=11)
         s1, *_ = full_bootstrap(smp_fit, n_b=8, seed=11, threads=1)
         s2, *_ = full_bootstrap(smp_fit, n_b=8, seed=11, threads=1)
@@ -210,7 +210,7 @@ class TestFullBootstrap:
 
 class TestSemiparametric:
     def test_monotone_transform_invariance(self):
-        y = simulate_pair_scores(60, 0.6, Gaussian(2.0, 1.0), seed=51)
+        y = simulate_pair_scores(60, 0.6, make_family("gaussian", [2.0, 1.0]), seed=51)
         sm = make_pair_data(60, y)
         sm_t = make_pair_data(60, np.exp(y))
         fit = fit_semiparametric(sm, confint="none")
@@ -218,14 +218,14 @@ class TestSemiparametric:
         assert fit.theta[0] == fit_t.theta[0]
 
     def test_recovers_simulated_agreement(self):
-        y = simulate_pair_scores(300, 0.8, Gaussian(26.5, 4.7), seed=52)
+        y = simulate_pair_scores(300, 0.8, make_family("gaussian", [26.5, 4.7]), seed=52)
         sm = make_pair_data(300, y)
         fit = fit_semiparametric(sm, confint="none")
         assert fit.estimates[0] == pytest.approx(0.8, abs=0.05)
         assert fit.param_names == ("inter",)
 
     def test_bootstrap_interval_and_variants(self):
-        y = simulate_pair_scores(120, 0.7, Laplace(0.0, 1.0), seed=53)
+        y = simulate_pair_scores(120, 0.7, make_family("laplace", [0.0, 1.0]), seed=53)
         sm = make_pair_data(120, y)
         fit = fit_semiparametric(sm, n_b=60, seed=13)
         assert fit.interval_kind == "bootstrap"
@@ -241,7 +241,7 @@ class TestSemiparametric:
 
         cov_gauss = cov_quant = 0
         for run in range(20):
-            y = simulate_pair_scores(150, 0.7, Gaussian(0.0, 1.0), seed=1000 + run)
+            y = simulate_pair_scores(150, 0.7, make_family("gaussian", [0.0, 1.0]), seed=1000 + run)
             sm = make_pair_data(150, y)
             fit = fit_semiparametric(sm, n_b=150, seed=3000 + run)
             glo, ghi = bootstrap_intervals(fit.boot_draws, fit.estimates, "gaussian")
@@ -252,7 +252,7 @@ class TestSemiparametric:
         assert cov_gauss >= 16 and cov_quant >= 16
 
     def test_small_sample_warns(self):
-        y = simulate_pair_scores(8, 0.5, Gaussian(0.0, 1.0), seed=54)
+        y = simulate_pair_scores(8, 0.5, make_family("gaussian", [0.0, 1.0]), seed=54)
         sm = make_pair_data(8, y)
         with pytest.warns(UserWarning, match="ECDF"):
             fit_semiparametric(sm, confint="none")
@@ -266,7 +266,8 @@ class TestFitConfig:
     def test_dist_level_compatibility(self, nominal_data):
         with pytest.raises(ConfigError):
             fit_agreement(nominal_data, dist="gaussian")
-        y = np.clip(np.abs(simulate_pair_scores(30, 0.5, Gaussian(0.5, 0.1), seed=61)), 0.01, 0.99)
+        y = simulate_pair_scores(30, 0.5, make_family("gaussian", [0.5, 0.1]), seed=61)
+        y = np.clip(np.abs(y), 0.01, 0.99)
         sm = make_pair_data(30, y, level="ratio")
         with pytest.raises(ConfigError):
             fit_agreement(sm, dist="gaussian")

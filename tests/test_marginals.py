@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
+from scipy.special import xlogy
 
 from copulagree import (
     DegenerateDataError,
@@ -8,26 +11,16 @@ from copulagree import (
     empirical_cdf,
     initial_params,
     make_family,
-    max_binary_correlation,
     median_unbiased_quantile,
 )
-from copulagree.marginals import (
-    Beta,
-    Categorical,
-    Gamma,
-    Gaussian,
-    Kumaraswamy,
-    Laplace,
-    StudentT,
-    winsor_eps,
-)
+from copulagree.marginals import CONTINUOUS_FAMILIES, Categorical, winsor_eps
 
 from conftest import nominal_matrix
 
 
 def test_cdf_basic_values():
     assert Categorical([0.5, 0.5]).cdf(1) == pytest.approx(0.5)
-    assert Gaussian(0.0, 1.0).cdf(0.0) == pytest.approx(0.5)
+    assert make_family("gaussian", [0.0, 1.0]).cdf(0.0) == pytest.approx(0.5)
     assert Categorical([0.25] * 4).cdf(3) == pytest.approx(0.75)
     assert Categorical([0.3, 0.7]).cdf(0) == 0.0
 
@@ -40,7 +33,7 @@ def test_dt_cdf_midpoints():
 
 def test_dt_cdf_rejects_continuous_families():
     with pytest.raises(TypeError):
-        dt_cdf(Gaussian(0.0, 1.0), 1)
+        dt_cdf(make_family("gaussian", [0.0, 1.0]), 1)
 
 
 def test_initial_params_gamma_moment_formula():
@@ -115,23 +108,14 @@ def test_median_unbiased_quantile_type8():
     assert median_unbiased_quantile([0.0, 10.0], 0.5) == pytest.approx(5.0)
 
 
-def test_max_binary_correlation():
-    assert max_binary_correlation(0.5, 0.5) == pytest.approx(1.0)
-    assert max_binary_correlation(0.2, 0.2) == pytest.approx(1.0)
-    assert max_binary_correlation(0.2, 0.8) == pytest.approx(0.25)
-    assert max_binary_correlation(0.8, 0.2) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        max_binary_correlation(0.0, 0.5)
-
-
 def _random_families(rng):
     return [
-        Gaussian(rng.normal(), 0.2 + rng.random()),
-        Laplace(rng.normal(), 0.2 + rng.random()),
-        StudentT(2.0 + 5.0 * rng.random(), rng.normal()),
-        Gamma(0.5 + 2.0 * rng.random(), 0.5 + rng.random()),
-        Beta(0.5 + 2.0 * rng.random(), 0.5 + 2.0 * rng.random()),
-        Kumaraswamy(0.5 + 2.0 * rng.random(), 0.5 + 2.0 * rng.random()),
+        make_family("gaussian", [rng.normal(), 0.2 + rng.random()]),
+        make_family("laplace", [rng.normal(), 0.2 + rng.random()]),
+        make_family("t", [2.0 + 5.0 * rng.random(), rng.normal()]),
+        make_family("gamma", [0.5 + 2.0 * rng.random(), 0.5 + rng.random()]),
+        make_family("beta", [0.5 + 2.0 * rng.random(), 0.5 + 2.0 * rng.random()]),
+        make_family("kumaraswamy", [0.5 + 2.0 * rng.random(), 0.5 + 2.0 * rng.random()]),
     ]
 
 
@@ -216,3 +200,81 @@ def test_empirical_quantile_is_median_unbiased():
     assert np.asarray(fam.quantile(u)) == pytest.approx(
         median_unbiased_quantile(sample, u)
     )
+
+
+def _scipy_reference(tag, a, b):
+    """(cdf, logpdf, quantile) of family ``tag`` at psi = (a, b) from scipy.stats."""
+    frozen = {
+        "gaussian": lambda: stats.norm(loc=a, scale=b),
+        "laplace": lambda: stats.laplace(loc=a, scale=b),
+        "t": lambda: stats.t(df=a, loc=b),
+        "gamma": lambda: stats.gamma(a, scale=1.0 / b),
+        "beta": lambda: stats.beta(a, b),
+    }
+    if tag in frozen:
+        dist = frozen[tag]()
+        return dist.cdf, dist.logpdf, dist.ppf
+    # scipy.stats has no Kumaraswamy family; if Y ~ Kumaraswamy(a, b) then
+    # Y**a ~ Beta(1, b)
+    t = stats.beta(1.0, b)
+
+    def logpdf(y):
+        with np.errstate(all="ignore"):
+            inner = t.logpdf(y**a) + np.log(a) + xlogy(a - 1.0, y)
+        return np.where((y < 0.0) | (y > 1.0), -np.inf, inner)
+
+    return (lambda y: t.cdf(np.sign(y) * np.abs(y) ** a), logpdf,
+            lambda u: t.ppf(u) ** (1.0 / a))
+
+
+_LOCATION = st.floats(-5.0, 5.0)
+_SCALE = st.floats(0.2, 5.0)
+_SHAPE = st.floats(0.3, 10.0)
+# psi strategies and a window of points that reaches past the support
+_ORACLE_CASES = {
+    "gaussian": ((_LOCATION, _SCALE), st.floats(-60.0, 60.0)),
+    "laplace": ((_LOCATION, _SCALE), st.floats(-60.0, 60.0)),
+    "t": ((st.floats(0.5, 30.0), _LOCATION), st.floats(-60.0, 60.0)),
+    "gamma": ((_SHAPE, _SCALE), st.floats(-2.0, 40.0)),
+    "beta": ((_SHAPE, _SHAPE), st.floats(-0.5, 1.5)),
+    "kumaraswamy": ((_SHAPE, _SHAPE), st.floats(-0.5, 1.5)),
+}
+
+
+@st.composite
+def _family_and_points(draw):
+    tag = draw(st.sampled_from(CONTINUOUS_FAMILIES))
+    psi_strategies, y_window = _ORACLE_CASES[tag]
+    psi = [draw(s) for s in psi_strategies]
+    y = np.array(draw(st.lists(y_window, min_size=1, max_size=12)))
+    # below about 1e-19 the root finder behind scipy.stats.beta.ppf gives up
+    # and returns values off by orders of magnitude (betaincinv returns NaN)
+    u = np.array(draw(st.lists(st.floats(1e-15, 1.0) | st.just(0.0), min_size=1, max_size=12)))
+    return tag, psi, y, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_and_points())
+def test_table_matches_scipy_stats(case):
+    """cdf and quantile within 1e-12 relative of scipy.stats (absolute below the
+    smallest normal number); logpdf within 1e-12 * (1 + |logpdf|), which is
+    1e-12 relative in the density where the log-density is small.  Out of
+    support the cdf is exactly 0 or 1 and the logpdf exactly -inf; the
+    Gaussian family matches bit for bit."""
+    tag, psi, y, u = case
+    fam = make_family(tag, psi)
+    ref_cdf, ref_logpdf, ref_ppf = _scipy_reference(tag, *psi)
+    got = (fam.cdf(y), fam.logpdf(y), fam.quantile(u))
+    want = (ref_cdf(y), ref_logpdf(y), ref_ppf(u))
+    if tag == "gaussian":
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        return
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=tiny)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=tiny)
+    lo, hi = {"gamma": (0.0, np.inf), "beta": (0.0, 1.0), "kumaraswamy": (0.0, 1.0)}.get(
+        tag, (-np.inf, np.inf))
+    assert (got[0][y < lo] == 0.0).all() and (got[0][y > hi] == 1.0).all()
+    assert (got[1][(y < lo) | (y > hi)] == -np.inf).all()
