@@ -43,7 +43,6 @@ from .fit import (
     FitResult,
     asymptotic_interval,
     fit_agreement,
-    fit_semiparametric,
     full_bootstrap,
     optimize_objective,
     sandwich_score_cov,
@@ -51,7 +50,6 @@ from .fit import (
     simulate_flat,
 )
 from .marginals import (
-    dt_cdf,
     empirical_cdf,
     initial_params,
     make_family,
@@ -108,11 +106,9 @@ __all__ = [
     "block_logdet_quadform",
     "build_structure",
     "dic",
-    "dt_cdf",
     "embed_original",
     "empirical_cdf",
     "fit_agreement",
-    "fit_semiparametric",
     "fixed_width_check",
     "full_bootstrap",
     "gradient",

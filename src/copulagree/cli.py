@@ -67,14 +67,6 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _check_seed(seed):
-    if seed is None:
-        return None
-    if seed < 0 or seed >= 2**64:
-        raise ConfigError("--seed must be an unsigned 64-bit integer")
-    return seed
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -89,6 +81,9 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected a comma-separated number list, got {text!r}")
 
 
+_DIST_HELP = f"marginal family ({'/'.join(CONTINUOUS_FAMILIES)})"
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog=_PROG, description=__doc__)
@@ -96,7 +91,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def common(p, bayes=False):
+    def command(name, run, about, fitted=True):
+        """A subcommand bound to its runner, with the options all commands
+        share; a ``fitted`` one also takes the model choice of ``fit``."""
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
         p.add_argument("input", help="score CSV: label header row, NA/empty = missing")
         p.add_argument("--level", required=True,
                        choices=["nominal", "ordinal", "interval", "ratio"])
@@ -106,12 +105,12 @@ def _build_parser() -> _Parser:
                        help="write the report here instead of stdout "
                             "(not echoed in the report's call)")
         p.add_argument("--format", choices=["text", "json"], default="text")
+        if fitted:
+            p.add_argument("--method", choices=["ml", "dt", "cml", "smp"], default=None)
+            p.add_argument("--dist", default=None, help=_DIST_HELP)
+        return p
 
-    p_fit = sub.add_parser("fit", help="frequentist point and interval estimation")
-    common(p_fit)
-    p_fit.add_argument("--method", choices=["ml", "dt", "cml", "smp"], default=None)
-    p_fit.add_argument("--dist", default=None,
-                       help=f"marginal family ({'/'.join(CONTINUOUS_FAMILIES)})")
+    p_fit = command("fit", _run_fit, "frequentist point and interval estimation")
     p_fit.add_argument("--confint", choices=["none", "asymptotic", "bootstrap"],
                        default="asymptotic")
     p_fit.add_argument("--bootit", type=int, default=None,
@@ -119,9 +118,9 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--interval", choices=["gaussian", "quantile"], default="gaussian",
                        help="bootstrap interval method")
 
-    p_bayes = sub.add_parser("bayes", help="posterior sampling for interval/ratio scores")
-    common(p_bayes)
-    p_bayes.add_argument("--dist", default="gaussian")
+    p_bayes = command("bayes", _run_bayes, "posterior sampling for interval/ratio scores",
+                      fitted=False)
+    p_bayes.add_argument("--dist", default="gaussian", help=_DIST_HELP)
     p_bayes.add_argument("--minit", type=int, default=1000)
     p_bayes.add_argument("--maxit", type=int, default=10000)
     p_bayes.add_argument("--tol", type=float, default=0.1)
@@ -132,20 +131,14 @@ def _build_parser() -> _Parser:
                          help="write retained draws to this CSV "
                               "(not echoed in the report's call)")
 
-    p_sim = sub.add_parser("simulate", help="simulate a dataset from the fitted model")
-    common(p_sim)
-    p_sim.add_argument("--method", choices=["ml", "dt", "cml", "smp"], default=None)
-    p_sim.add_argument("--dist", default=None)
+    command("simulate", _run_simulate, "simulate a dataset from the fitted model")
 
-    p_inf = sub.add_parser("influence", help="DFBETA for dropped units/coders")
-    common(p_inf)
-    p_inf.add_argument("--method", choices=["ml", "dt", "cml", "smp"], default=None)
-    p_inf.add_argument("--dist", default=None)
+    p_inf = command("influence", _run_influence, "DFBETA for dropped units/coders")
     p_inf.add_argument("--units", type=_int_list, default=[])
     p_inf.add_argument("--coders", type=_int_list, default=[])
 
-    p_alpha = sub.add_parser("alpha", help="Krippendorff's alpha baseline (nominal)")
-    common(p_alpha)
+    p_alpha = command("alpha", _run_alpha, "Krippendorff's alpha baseline (nominal)",
+                      fitted=False)
     p_alpha.add_argument("--bootit", type=int, default=1000)
 
     return parser
@@ -172,9 +165,10 @@ def _table(headers, rows) -> str:
     return "\n".join(lines)
 
 
-def _control_lines(control: dict) -> str:
+def _aligned(block: dict) -> str:
+    """One ``key value`` line per entry that is not None, values aligned."""
     rows = [(k, _fmt(v) if isinstance(v, (int, float, np.floating, np.integer)) else str(v))
-            for k, v in control.items() if v is not None]
+            for k, v in block.items() if v is not None]
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k.ljust(width)} {v}" for k, v in rows)
 
@@ -208,7 +202,7 @@ def _render_text(report: dict) -> str:
         if not report["converged"]:
             parts.append("Warning: fixed-width stopping did not certify convergence.")
     if "control" in report:
-        parts.append("Control parameters:\n\n" + _control_lines(report["control"]))
+        parts.append("Control parameters:\n\n" + _aligned(report["control"]))
     if "coefficients" in report:
         parts.append("Coefficients:\n\n" + _coef_table(report["coefficients"]))
     if report.get("boot") is not None:
@@ -222,10 +216,7 @@ def _render_text(report: dict) -> str:
     if report.get("dic") is not None:
         parts.append(f"DIC: {_fmt(report['dic'])}")
     if report.get("accept") is not None:
-        rows = [(k, _fmt(v)) for k, v in report["accept"].items()]
-        width = max(len(k) for k, _ in rows)
-        parts.append("Acceptance rates:\n\n" +
-                     "\n".join(f"{k.ljust(width)} {v}" for k, v in rows))
+        parts.append("Acceptance rates:\n\n" + _aligned(report["accept"]))
     if cmd == "alpha":
         parts.append(f"Krippendorff's alpha: {_fmt(report['alpha'])}")
         ci = report["intervals"]
@@ -274,39 +265,49 @@ def _floats(arr) -> list:
     return [None if not np.isfinite(v) else float(v) for v in np.asarray(arr, dtype=float)]
 
 
-def _read(args):
+def _read_seeded(args):
+    """The call's scores and its seed (fresh entropy when not given)."""
     try:
-        return read_score_csv(args.input, args.level)
-    except FileNotFoundError:
+        data = read_score_csv(args.input, args.level)
+    except (OSError, UnicodeDecodeError):
         raise DataError(f"cannot read input file {args.input!r}")
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        raise ConfigError("--seed must be an unsigned 64-bit integer")
+    return data, resolve_seed(args.seed)
 
 
-def _run_fit(args, call: str) -> dict:
-    data = _read(args)
-    seed = resolve_seed(_check_seed(args.seed))
-    threads = args.threads if args.threads is not None else default_threads()
-    fit = fit_agreement(
-        data, method=args.method, dist=args.dist, confint=args.confint,
-        bootit=args.bootit, interval=args.interval, seed=seed, threads=threads,
-    )
-    report = {
-        "command": "fit",
+def _threads(args) -> int:
+    return args.threads if args.threads is not None else default_threads()
+
+
+def _head(args, call: str, fit, **control) -> dict:
+    """Report head of a fitted command: its call, the optimizer's convergence
+    and the control block, which ``control`` extends after the model choice."""
+    return {
+        "command": args.command,
         "call": call,
         "convergence": {
             "objective": float(fit.objective),
             "iterations": fit.iterations,
             "converged": fit.converged,
         },
-        "control": {
-            "level": args.level,
-            "method": fit.method,
-            "dist": fit.family,
-            "confint": args.confint,
-            "bootit": args.bootit,
-            "interval": args.interval if args.confint == "bootstrap" else None,
-            "seed": seed,
-            "threads": threads,
-        },
+        "control": {"level": args.level, "method": fit.method, "dist": fit.family, **control},
+    }
+
+
+def _run_fit(args, call: str) -> dict:
+    data, seed = _read_seeded(args)
+    threads = _threads(args)
+    fit = fit_agreement(
+        data, method=args.method, dist=args.dist, confint=args.confint,
+        bootit=args.bootit, interval=args.interval, seed=seed, threads=threads,
+    )
+    report = _head(
+        args, call, fit, confint=args.confint, bootit=args.bootit,
+        interval=args.interval if args.confint == "bootstrap" else None,
+        seed=seed, threads=threads,
+    )
+    report.update({
         "coefficients": {
             "names": list(fit.param_names),
             "estimate": _floats(fit.estimates),
@@ -316,7 +317,7 @@ def _run_fit(args, call: str) -> dict:
         "boot": None,
         "aic": None,
         "bic": None,
-    }
+    })
     if fit.interval_kind == "bootstrap":
         report["boot"] = {
             "dropped": int(fit.boot_dropped),
@@ -331,8 +332,7 @@ def _run_fit(args, call: str) -> dict:
 
 
 def _run_bayes(args, call: str) -> dict:
-    data = _read(args)
-    seed = resolve_seed(_check_seed(args.seed))
+    data, seed = _read_seeded(args)
     sigma_omega = args.sigma_omega
     if sigma_omega is None:
         sigma_omega = 0.1
@@ -376,52 +376,25 @@ def _run_bayes(args, call: str) -> dict:
 
 
 def _run_simulate(args, call: str) -> dict:
-    data = _read(args)
-    seed = resolve_seed(_check_seed(args.seed))
+    data, seed = _read_seeded(args)
     fit = fit_agreement(data, method=args.method, dist=args.dist, confint="none", seed=seed)
     sim = simulate_scores(fit, seed=seed)
     values, observed = embed_original(sim)
-    csv_text = format_score_csv(sim.labels, values, observed)
     return {
-        "command": "simulate",
-        "call": call,
-        "convergence": {
-            "objective": float(fit.objective),
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-        },
-        "control": {
-            "level": args.level,
-            "method": fit.method,
-            "dist": fit.family,
-            "seed": seed,
-        },
-        "csv": csv_text,
+        **_head(args, call, fit, seed=seed),
+        "csv": format_score_csv(sim.labels, values, observed),
         "values": [[None if not observed[i, j] else float(values[i, j])
                     for j in range(values.shape[1])] for i in range(values.shape[0])],
     }
 
 
 def _run_influence(args, call: str) -> dict:
-    data = _read(args)
-    seed = resolve_seed(_check_seed(args.seed))
+    data, seed = _read_seeded(args)
     fit = fit_agreement(data, method=args.method, dist=args.dist, confint="none", seed=seed)
     rep = influence(fit, units=args.units, coders=args.coders)
     failed = [f"unit {u}" for u in rep.failed_units] + [f"coder {c}" for c in rep.failed_coders]
     return {
-        "command": "influence",
-        "call": call,
-        "convergence": {
-            "objective": float(fit.objective),
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-        },
-        "control": {
-            "level": args.level,
-            "method": fit.method,
-            "dist": fit.family,
-            "seed": seed,
-        },
+        **_head(args, call, fit, seed=seed),
         "param_names": list(rep.param_names),
         "dfbeta_units": {
             "indices": list(rep.unit_indices),
@@ -436,9 +409,8 @@ def _run_influence(args, call: str) -> dict:
 
 
 def _run_alpha(args, call: str) -> dict:
-    data = _read(args)
-    seed = resolve_seed(_check_seed(args.seed))
-    threads = args.threads if args.threads is not None else default_threads()
+    data, seed = _read_seeded(args)
+    threads = _threads(args)
     res = krippendorff_alpha(data, n_b=args.bootit, seed=seed, threads=threads)
     return {
         "command": "alpha",
@@ -456,15 +428,6 @@ def _run_alpha(args, call: str) -> dict:
         },
         "mcse": float(res.mcse),
     }
-
-
-_RUNNERS = {
-    "fit": _run_fit,
-    "bayes": _run_bayes,
-    "simulate": _run_simulate,
-    "influence": _run_influence,
-    "alpha": _run_alpha,
-}
 
 
 def _echoed_call(argv: list[str], long_options: tuple[str, ...]) -> str:
@@ -501,7 +464,7 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError("--threads must be at least 1")
         call = _echoed_call(argv, parser.commands[args.command].long_options)
-        report = _RUNNERS[args.command](args, call)
+        report = args.run(args, call)
         _emit(report, args)
         return 0
     except ConfigError as exc:

@@ -13,6 +13,7 @@ from .errors import ConfigError, DataError
 from .fit import (
     _TAG_ALPHA,
     FitResult,
+    check_replicates,
     fit_point,
     parallel_map,
     replicate_rng,
@@ -109,11 +110,20 @@ def influence(fit: FitResult, units=(), coders=()) -> InfluenceReport:
     """Refit the model without each requested unit (1-based original row
     number) or coder (coder index), reporting DFBETA = theta_full - theta_drop.
 
-    Rows are matched by parameter name: a parameter absent from a refit
-    (dropping a coder can remove its intra parameter) reads NaN.  A failed
-    refit flags its entity and leaves NaN in its row; the other entities are
-    still returned.
+    A unit outside the input's rows or a coder without a column is a
+    ``ConfigError``.  Rows are matched by parameter name: a parameter absent
+    from a refit (dropping a coder can remove its intra parameter) reads NaN.
+    A failed refit flags its entity and leaves NaN in its row; the other
+    entities are still returned.
     """
+    n_rows = fit.data.n_rows_original
+    coder_ids = sorted({lab.coder for lab in fit.data.labels if lab.kind == "coder"})
+    for u in units:
+        if not 1 <= u <= n_rows:
+            raise ConfigError(f"unit {u} is not a row of the input (1..{n_rows})")
+    for c in coders:
+        if c not in coder_ids:
+            raise ConfigError(f"coder {c} is not a coder of the input {tuple(coder_ids)}")
     names = fit.param_names
 
     def dfbeta(entities, key):
@@ -191,6 +201,7 @@ def krippendorff_alpha(data: ScoreMatrix, n_b: int = 1000, seed=None,
         raise ConfigError("the discrete-metric alpha baseline applies to nominal data")
     if data.n_units < 2:
         raise DataError("alpha is undefined for fewer than two units")
+    check_replicates(n_b)
     seed = resolve_seed(seed)
     unit_values = [data.values[i][data.observed[i]] for i in range(data.n_units)]
     alpha = _alpha_value(unit_values)

@@ -27,14 +27,14 @@ from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
 from . import marginals
-from .errors import ConfigError, DataError, IntervalError
+from .errors import ConfigError, DataError, IntervalError, NumericalError
 from .objectives import (
     CopulaModel,
     Objective,
     _probit,
-    fd_step,
     gradient,
     hessian,
+    stencil,
 )
 from .scores import ScoreMatrix
 from .structure import build_structure, simulate_latent
@@ -48,7 +48,6 @@ DEFAULT_SANDWICH_NB = 100
 _TAG_SANDWICH = 1
 _TAG_BOOT = 2
 _TAG_SMP_BOOT = 3
-_TAG_SIMULATE = 4
 _TAG_ALPHA = 5
 
 
@@ -61,6 +60,11 @@ def resolve_seed(seed) -> int:
 
 def replicate_rng(seed: int, tag: int, j: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, j)))
+
+
+def check_replicates(n_b: int) -> None:
+    if n_b < 2:
+        raise ConfigError(f"at least 2 bootstrap replicates are needed, got {n_b}")
 
 
 def parallel_map(worker, payload, n: int, threads: int = 1) -> list:
@@ -127,22 +131,12 @@ def optimize_objective(objective, theta0, bounds, face_constraint=None) -> Optim
 
     def neg_with_grad(t):
         f0 = neg(t)
-        g = np.zeros_like(t)
         if f0 >= _BIG:
-            return f0, g
-        h = fd_step(t)
-        for j in range(t.size):
-            e = np.zeros_like(t)
-            e[j] = h[j]
-            fp, fm = neg(t + e), neg(t - e)
-            if fp < _BIG and fm < _BIG:
-                g[j] = (fp - fm) / (2.0 * h[j])
-            elif fp < _BIG:
-                g[j] = (fp - f0) / h[j]
-            elif fm < _BIG:
-                g[j] = (f0 - fm) / h[j]
-            else:
-                g[j] = 0.0
+            return f0, np.zeros_like(t)
+        fp, fm, h = stencil(neg, t)
+        ok_p, ok_m = fp < _BIG, fm < _BIG
+        g = np.where(ok_p & ok_m, (fp - fm) / (2.0 * h),
+                     np.where(ok_p, (fp - f0) / h, np.where(ok_m, (f0 - fm) / h, 0.0)))
         return f0, g
 
     def kkt_violation(x, g):
@@ -179,7 +173,7 @@ def optimize_objective(objective, theta0, bounds, face_constraint=None) -> Optim
         stationary = kkt_violation(res.x, g) < 1e-4 * max(1.0, abs(f))
 
     value = float(objective(res.x))
-    converged = bool(res.success) and np.isfinite(value) and stationary
+    converged = bool(res.success and np.isfinite(value) and stationary)
     best = OptimizeFit(res.x, value, nit, converged)
     if converged or face_constraint is None:
         return best
@@ -219,6 +213,8 @@ def fit_point(structure, y, method, dist, n_categories, variant, eps):
 
 def simulate_flat(structure, omega, family, rng) -> np.ndarray:
     """One dataset from the fitted copula: Z ~ N(0, Omega), U = Phi(Z), Y = F^{-1}(U)."""
+    if family is None:
+        raise NumericalError("the fitted marginal is infeasible; there is nothing to simulate")
     z = simulate_latent(structure, omega, rng)
     return np.asarray(family.quantile(ndtr(z)), dtype=float)
 
@@ -304,6 +300,7 @@ def sandwich_score_cov(fit: FitResult, n_b: int = DEFAULT_SANDWICH_NB,
                        seed: int | None = None, threads: int = 1) -> np.ndarray:
     """Parametric-bootstrap estimate of the score covariance J at theta-hat:
     the mean outer product of the objective gradient over simulated datasets."""
+    check_replicates(n_b)
     seed = resolve_seed(seed if seed is not None else fit.seed)
     payload = (fit.model, fit.method, fit.theta, seed)
     outers = parallel_map(_sandwich_worker, payload, n_b, threads)
@@ -376,9 +373,11 @@ def full_bootstrap(fit: FitResult, n_b: int = DEFAULT_BOOTSTRAP_NB,
     resampling bootstrap (U* at omega-hat mapped through median-unbiased
     empirical quantiles, then re-standardized and re-estimated).
     Replicates that fail to start or converge are dropped and counted; losing
-    more than 10% raises the warning flag.  Returns ``(draws, lower, upper,
-    mcse, dropped, warning)`` in reported-parameter space.
+    more than 10% raises the warning flag, and keeping fewer than 2 is an
+    ``IntervalError``.  Returns ``(draws, lower, upper, mcse, dropped,
+    warning)`` in reported-parameter space.
     """
+    check_replicates(n_b)
     seed = resolve_seed(seed if seed is not None else fit.seed)
     omega, _ = fit.model.unpack(fit.theta)
     payload = (fit.model.structure, omega, fit.family_obj, fit.method, fit.family,
@@ -386,12 +385,12 @@ def full_bootstrap(fit: FitResult, n_b: int = DEFAULT_BOOTSTRAP_NB,
     rows = parallel_map(_boot_worker, payload, n_b, threads)
     kept = [r for r in rows if r is not None]
     dropped = n_b - len(kept)
-    if not kept:
-        raise IntervalError("all bootstrap replicates failed to converge")
+    if len(kept) < 2:
+        raise IntervalError(f"{len(kept)} of {n_b} bootstrap replicates converged; "
+                            "an interval needs at least 2")
     draws = np.asarray(kept)
     lower, upper = bootstrap_intervals(draws, fit.estimates, interval, conf_level)
-    mcse = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0]) if draws.shape[0] > 1 \
-        else np.full(draws.shape[1], np.inf)
+    mcse = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     return draws, lower, upper, mcse, dropped, dropped > 0.1 * n_b
 
 
@@ -412,11 +411,13 @@ def fit_agreement(data: ScoreMatrix, *, method: str | None = None, dist: str | N
 
     Every method (ml, dt, cml, smp) takes the same path: build the structure,
     ``fit_point`` for the estimate, then the requested intervals.  ``confint``
-    is one of none/asymptotic/bootstrap; the semiparametric method (whose
-    ``smp_variant``/``smp_eps`` choose the ECDF) supports none/bootstrap only
-    and ignores ``dist``.  ``bootit`` sets the replicate count where one is
-    needed (defaults: 1000 for the full bootstrap, 100 for the sandwich score
-    covariance).
+    is one of none/asymptotic/bootstrap.  ``method="smp"`` is the two-stage
+    semiparametric fit: probit-transformed ECDF scores (``smp_variant`` and
+    ``smp_eps`` choose the ECDF), then the copula-only objective, with
+    none/bootstrap intervals only (the copula-resampling bootstrap of
+    ``full_bootstrap``); it ignores ``dist``.  ``bootit`` sets the replicate
+    count where one is needed, at least 2 (defaults: 1000 for the full
+    bootstrap, 100 for the sandwich score covariance).
     """
     if confint not in ("none", "asymptotic", "bootstrap"):
         raise ConfigError(f"unknown confint {confint!r}")
@@ -460,18 +461,3 @@ def fit_agreement(data: ScoreMatrix, *, method: str | None = None, dist: str | N
         fit.interval_kind = "bootstrap"
         fit.boot_interval = interval
     return fit
-
-
-def fit_semiparametric(data: ScoreMatrix, variant: str = "plain", eps: float | None = None,
-                       n_b: int = DEFAULT_BOOTSTRAP_NB, confint: str = "bootstrap",
-                       interval: str = "gaussian", conf_level: float = 0.95,
-                       seed: int | None = None, threads: int = 1) -> FitResult:
-    """Two-stage semiparametric fit: probit-transformed ECDF scores, then the
-    copula-only objective; intervals from the copula-resampling bootstrap
-    (see ``full_bootstrap``).  Equivalent to ``fit_agreement`` with
-    ``method="smp"``."""
-    return fit_agreement(
-        data, method="smp", confint=confint, bootit=n_b, interval=interval,
-        conf_level=conf_level, seed=seed, threads=threads,
-        smp_variant=variant, smp_eps=eps,
-    )

@@ -81,6 +81,8 @@ class _Family:
 
 
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
+# Beta quantiles below this come from the small-x series of the cdf.
+_BETA_SERIES_MAX = 1e-15
 
 
 def _laplace_cdf(y, mu, sigma):
@@ -89,10 +91,21 @@ def _laplace_cdf(y, mu, sigma):
     return np.where(x > 0, 1.0 - half_tail, half_tail)
 
 
+def _beta_ppf(u, alpha, beta):
+    # betaincinv fails (NaN, or a value stuck near 1.4e-17) where the quantile
+    # is below about 1e-15; there the leading term x^a / (a B(a, b)) of
+    # I_x(a, b) inverts it to within a relative |1 - b| / (a + 1) * x
+    log_x = (np.log(alpha) + sc.betaln(alpha, beta) + np.log(u)) / alpha
+    return np.where(log_x < np.log(_BETA_SERIES_MAX),
+                    (alpha * sc.beta(alpha, beta) * u) ** (1.0 / alpha),
+                    sc.betaincinv(alpha, beta, u))
+
+
 # The gaussian, t, gamma and beta entries repeat the arithmetic of scipy.stats
 # step for step (the gamma divides by its scale 1/beta), so they return its
-# values bit for bit.  The laplace log-density is the closed form, where
-# scipy.stats takes log(0.5 exp(-|x|)), which is -inf beyond |x| of about 745.
+# values bit for bit, except beta quantiles below _BETA_SERIES_MAX.  The
+# laplace log-density is the closed form, where scipy.stats takes
+# log(0.5 exp(-|x|)), which is -inf beyond |x| of about 745.
 _TABLE = {
     "gaussian": _Family(
         ("mu", "sigma"), "interval", (-np.inf, np.inf),
@@ -127,7 +140,7 @@ _TABLE = {
         cdf=lambda y, alpha, beta: sc.betainc(alpha, beta, y),
         logpdf=lambda y, alpha, beta: (sc.xlog1py(beta - 1.0, -y) + sc.xlogy(alpha - 1.0, y)
                                        - sc.betaln(alpha, beta)),
-        ppf=lambda u, alpha, beta: sc.betaincinv(alpha, beta, u),
+        ppf=_beta_ppf,
     ),
     "kumaraswamy": _Family(
         ("a", "b"), "ratio", (0.0, 1.0),
@@ -316,10 +329,3 @@ def initial_params(data, family: str, n_categories: int | None = None) -> np.nda
     if family == "empirical":
         return np.array([])
     raise ValueError(f"unknown family {family!r}")
-
-
-def dt_cdf(family, y):
-    """Distributional-transform cdf {F(y-1) + F(y)}/2 for integer-support families."""
-    if not getattr(family, "discrete", False):
-        raise TypeError("dt_cdf applies to discrete families only")
-    return family.dt_cdf(y)

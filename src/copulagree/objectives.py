@@ -274,7 +274,10 @@ def _loglik_probit(theta, model: CopulaModel, dt: bool) -> float:
     fam = model.family_of(theta)
     if fam is None:
         return -np.inf
-    logf = math.fsum(np.atleast_1d(fam.logpdf(model.y)))
+    try:
+        logf = math.fsum(np.atleast_1d(fam.logpdf(model.y)))
+    except OverflowError:  # finite terms whose sum leaves the float range
+        return -np.inf
     if not np.isfinite(logf):
         return -np.inf
     z = _probit(fam.dt_cdf(model.y) if dt else fam.cdf(model.y))
@@ -369,56 +372,49 @@ def loglik_smp(omega, structure: AgreementStructure, zhat) -> float:
     return -0.5 * logdet - 0.5 * quad
 
 
-def fd_step(theta) -> np.ndarray:
-    return _CBRT_EPS * np.maximum(1.0, np.abs(np.asarray(theta, dtype=float)))
+def stencil(fn, theta):
+    """``fn`` at theta +- h e_j for every coordinate j, with the central-difference
+    step h = cbrt(eps) * max(1, |theta_j|); returns ``(fp, fm, h)`` as arrays."""
+    theta = np.asarray(theta, dtype=float)
+    h = _CBRT_EPS * np.maximum(1.0, np.abs(theta))
+    steps = np.diag(h)
+    return (np.array([fn(theta + e) for e in steps], dtype=float),
+            np.array([fn(theta - e) for e in steps], dtype=float), h)
 
 
 def gradient(fn, theta) -> np.ndarray:
-    """Central finite-difference gradient with step cbrt(eps) * max(1, |theta_j|)."""
-    theta = np.asarray(theta, dtype=float)
-    h = fd_step(theta)
-    g = np.empty_like(theta)
-    for j in range(theta.size):
-        e = np.zeros_like(theta)
-        e[j] = h[j]
-        fp, fm = fn(theta + e), fn(theta - e)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericalError(
-                f"objective not finite within the gradient stencil at coordinate {j}"
-            )
-        g[j] = (fp - fm) / (2.0 * h[j])
-    return g
+    """Central finite-difference gradient on the ``stencil`` points."""
+    fp, fm, h = stencil(fn, theta)
+    finite = np.isfinite(fp) & np.isfinite(fm)
+    if not finite.all():
+        raise NumericalError(
+            f"objective not finite within the gradient stencil at coordinate {finite.argmin()}"
+        )
+    return (fp - fm) / (2.0 * h)
 
 
 def hessian(fn, theta) -> np.ndarray:
-    """Central finite-difference Hessian (same step rule as the gradient)."""
+    """Central finite-difference Hessian: the diagonal on the ``stencil``
+    points, entry (i, j) on the corners theta +- h_i e_i +- h_j e_j."""
     theta = np.asarray(theta, dtype=float)
-    q = theta.size
-    h = fd_step(theta)
     f0 = fn(theta)
     if not np.isfinite(f0):
         raise NumericalError("objective not finite at the expansion point")
-    hess = np.empty((q, q))
-    for i in range(q):
-        ei = np.zeros(q)
-        ei[i] = h[i]
-        fpp, fmm = fn(theta + ei), fn(theta - ei)
-        if not (np.isfinite(fpp) and np.isfinite(fmm)):
+    fpp, fmm, h = stencil(fn, theta)
+    finite = np.isfinite(fpp) & np.isfinite(fmm)
+    if not finite.all():
+        raise NumericalError(
+            f"objective not finite within the Hessian stencil at coordinate {finite.argmin()}"
+        )
+    hess = np.diag((fpp - 2.0 * f0 + fmm) / (h * h))
+    steps = np.diag(h)
+    for i, j in zip(*np.triu_indices(theta.size, 1)):
+        ei, ej = steps[i], steps[j]
+        vals = [fn(theta + ei + ej), fn(theta + ei - ej),
+                fn(theta - ei + ej), fn(theta - ei - ej)]
+        if not np.all(np.isfinite(vals)):
             raise NumericalError(
-                f"objective not finite within the Hessian stencil at coordinate {i}"
+                f"objective not finite within the Hessian stencil at ({i}, {j})"
             )
-        hess[i, i] = (fpp - 2.0 * f0 + fmm) / (h[i] * h[i])
-        for j in range(i + 1, q):
-            ej = np.zeros(q)
-            ej[j] = h[j]
-            vals = [fn(theta + ei + ej), fn(theta + ei - ej),
-                    fn(theta - ei + ej), fn(theta - ei - ej)]
-            if not np.all(np.isfinite(vals)):
-                raise NumericalError(
-                    f"objective not finite within the Hessian stencil at ({i}, {j})"
-                )
-            hess[i, j] = hess[j, i] = (vals[0] - vals[1] - vals[2] + vals[3]) / (
-                4.0 * h[i] * h[j]
-            )
+        hess[i, j] = hess[j, i] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * h[i] * h[j])
     return hess
-

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copulagree
 from copulagree.cli import _build_parser, _echoed_call, _fmt, default_threads, main
@@ -307,6 +311,122 @@ class TestErrorPaths:
         csv = write_pairs_csv(tmp_path / "pairs.csv", n=10)
         code, _, err = run_cli(capsys, "alpha", csv, "--level", "interval")
         assert code == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", FIXTURE, "--level", "nominal", "--bootit", "0"],  # CML sandwich
+        ["fit", FIXTURE, "--level", "nominal", "--confint", "bootstrap", "--bootit", "0"],
+        ["fit", FIXTURE, "--level", "nominal", "--confint", "bootstrap", "--bootit", "1"],
+        ["alpha", FIXTURE, "--level", "nominal", "--bootit", "0"],
+        ["alpha", FIXTURE, "--level", "nominal", "--bootit", "-1"],
+    ])
+    def test_fewer_than_two_replicates_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "1", "--threads", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: config: at least 2 bootstrap replicates are needed, " \
+                      f"got {argv[-1]}\n"
+
+    def test_unreadable_input_is_a_data_error(self, capsys, tmp_path):
+        binary = tmp_path / "latin1.csv"
+        binary.write_bytes(b"c.1.1,c.2.1\n\xff\xfe,1\n")
+        for path in (tmp_path, binary):
+            code, _, err = run_cli(capsys, "fit", str(path), "--level", "nominal")
+            assert code == 2
+            assert err == f"error: data: cannot read input file {str(path)!r}\n"
+
+    def test_json_report_of_a_fit_at_a_non_finite_objective(self, capsys, tmp_path):
+        # the second column lies outside the Kumaraswamy support (0, 1)
+        rng = np.random.default_rng(4)
+        rows = [f"{0.3 + 0.4 * a!r},{1.2 + 0.6 * b!r}" for a, b in rng.random((30, 2)).tolist()]
+        path = tmp_path / "ratio.csv"
+        path.write_text("\n".join(["c.1.1,c.2.1", *rows]) + "\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "fit", str(path), "--level", "ratio", "--dist",
+                               "kumaraswamy", "--confint", "none", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["convergence"]["converged"] is False
+
+    def test_simulate_from_a_single_category_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "k1.csv"
+        path.write_text("c.1.1,c.2.1\n" + "1,1\n" * 20, encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", str(path), "--level", "nominal",
+                                 "--seed", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: numeric:") and err.count("\n") == 1
+
+    def test_bayes_on_constant_scores_finishes(self, capsys, tmp_path):
+        # sigma walks toward 0 (a wide log-sigma step gets there within the
+        # 1000 sweeps), where the sum of the log-densities overflows
+        path = tmp_path / "const.csv"
+        path.write_text("c.1.1,c.2.1\n" + "1.0,1.0\n" * 40, encoding="utf-8")
+        code, _, err = run_cli(capsys, "bayes", str(path), "--level", "interval",
+                               "--minit", "1000", "--maxit", "1000", "--sigma-2", "1",
+                               "--seed", "1")
+        assert code == 0, err
+
+
+def _fuzz_inputs(root: Path) -> dict:
+    """Small input files for the fuzz test, each with the level it was made for."""
+    rng = np.random.default_rng(8)
+    nominal = "\n".join(["c.1.1,c.2.1,c.3.1"] + [",".join(map(str, r))
+                                                 for r in rng.integers(1, 4, (30, 3))])
+    files = {
+        "nominal": ("nominal", nominal + "\n"),
+        "constant": ("interval", "c.1.1,c.2.1\n" + "1.0,1.0\n" * 30),
+        "k1": ("nominal", "c.1.1,c.2.1\n" + "1,1\n" * 30),
+        "out_of_support": ("ratio", "c.1.1,c.2.1\n" + "".join(
+            f"{0.3 + 0.4 * a!r},{1.2 + 0.6 * b!r}\n" for a, b in rng.random((30, 2)).tolist())),
+        "ragged": ("nominal", "c.1.1,c.2.1\n1,2\n3\n"),
+        "latin1": ("nominal", b"c.1.1,c.2.1\n\xff\xfe,1\n"),
+    }
+    out = {"interval": (write_pairs_csv(root / "interval.csv", n=30), "interval"),
+           "directory": (str(root), "nominal")}
+    for name, (level, text) in files.items():
+        path = root / f"{name}.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        out[name] = (str(path), level)
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    return _fuzz_inputs(tmp_path_factory.mktemp("fuzz"))
+
+
+_LEVELS = ("nominal", "ordinal", "interval", "ratio")
+_BOOTIT = st.sampled_from(["-1", "0", "1", "2"])
+_OPTIONS = {
+    "fit": st.tuples(st.just("--confint"), st.sampled_from(["none", "asymptotic", "bootstrap"]),
+                     st.just("--bootit"), _BOOTIT),
+    "bayes": st.just(("--minit", "1000", "--maxit", "1000")),
+    "simulate": st.just(()),
+    "influence": st.tuples(st.just("--units"), st.sampled_from(["0", "-1", "999", "2"]),
+                           st.just("--coders"), st.sampled_from(["1", "9"])),
+    "alpha": st.tuples(st.just("--bootit"), _BOOTIT),
+}
+
+
+@st.composite
+def _cli_calls(draw, inputs):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    path, level = inputs[draw(st.sampled_from(sorted(inputs)))]
+    level = draw(st.just(level) | st.sampled_from(_LEVELS))
+    return [command, path, "--level", level, *draw(_OPTIONS[command]),
+            "--format", draw(st.sampled_from(["text", "json"])), "--seed", "1", "--threads", "1"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_calls_exit_with_one_error_line(fuzz_inputs, data):
+    argv = data.draw(_cli_calls(fuzz_inputs))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestThreadsDefault:

@@ -4,6 +4,7 @@ import pytest
 from copulagree import (
     ConfigError,
     DataError,
+    NumericalError,
     aic_bic,
     build_structure,
     fit_agreement,
@@ -54,9 +55,6 @@ class TestInfluence:
     def test_failed_refit_is_flagged(self, nominal_fit):
         rep = influence(nominal_fit, coders=[2], units=[])
         assert rep.failed_coders == ()
-        # dropping a non-existent coder number changes nothing -> no-op row
-        rep2 = influence(nominal_fit, coders=[9])
-        assert np.array_equal(rep2.dfbeta_coders[0], np.zeros(6))
         # dropping coder 1 leaves the method-2 gold column without coders
         labels = parse_labels(["g.m2", "m2.c.1.1", "m1.c.1.1", "m1.c.2.1"]).labels
         grid = NOMINAL_GRID[:, [0, 3, 1, 2]]
@@ -64,6 +62,16 @@ class TestInfluence:
         rep3 = influence(multi, coders=[1])
         assert rep3.failed_coders == (1,)
         assert np.isnan(rep3.dfbeta_coders[0]).all()
+
+    @pytest.mark.parametrize("units, coders, named", [
+        ([999], [], "unit 999"), ([0], [], "unit 0"), ([-1], [], "unit -1"),
+        ([13], [], "unit 13"), ([], [9], "coder 9"), ([], [0], "coder 0"),
+    ])
+    def test_indices_outside_the_input_are_config_errors(self, nominal_fit, units,
+                                                         coders, named):
+        # the input has rows 1..12 and coders 1..4
+        with pytest.raises(ConfigError, match=f"^{named} "):
+            influence(nominal_fit, units=units, coders=coders)
 
     def test_coder_owning_an_intra_parameter_is_compared_by_name(self):
         # coders 1 and 2 score twice and own intra.m1.c1 / intra.m1.c2, which
@@ -111,6 +119,13 @@ class TestSimulate:
         fam = Categorical([1.0, 0.0, 0.0, 0.0, 0.0])
         flat = simulate_flat(structure, [0.0], fam, np.random.default_rng(0))
         assert np.array_equal(flat, np.ones(18))
+
+    def test_single_category_fit_has_no_marginal_to_simulate_from(self):
+        labs = parse_labels(["c.1.1", "c.2.1"]).labels
+        fit = fit_agreement(prepare(np.ones((20, 2)), labs, "nominal"), confint="none", seed=1)
+        assert fit.family_obj is None  # K = 1 leaves no feasible probability vector
+        with pytest.raises(NumericalError, match="infeasible"):
+            simulate_scores(fit, seed=1)
 
     def test_comonotone_limit_duplicates_scores(self):
         # at the box maximum omega = 0.999 the latent spread is ~0.045, which
@@ -223,6 +238,11 @@ class TestKrippendorffAlpha:
         interval = prepare(np.array([[1.0, 2.0], [2.0, 1.0]]), labs, "interval")
         with pytest.raises(ConfigError):
             krippendorff_alpha(interval, n_b=5)
+
+    @pytest.mark.parametrize("n_b", [-1, 0, 1])
+    def test_fewer_than_two_replicates_is_a_config_error(self, nominal_data, n_b):
+        with pytest.raises(ConfigError, match="at least 2 bootstrap replicates"):
+            krippendorff_alpha(nominal_data, n_b=n_b, seed=1)
 
     def test_bootstrap_outputs(self, nominal_data):
         res = krippendorff_alpha(nominal_data, n_b=200, seed=5)

@@ -8,7 +8,6 @@ from copulagree import (
     Objective,
     build_structure,
     fit_agreement,
-    fit_semiparametric,
     full_bootstrap,
     optimize_objective,
     parse_labels,
@@ -62,6 +61,11 @@ class TestOptimize:
         assert inside.theta[0] == pytest.approx(2.0, abs=1e-6)
         clipped = optimize_objective(f, np.array([0.5]), [(0.0, 1.0)])
         assert clipped.theta[0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_convergence_flag_is_a_python_bool(self):
+        # an objective that is -inf everywhere ends at a non-finite value
+        fit = optimize_objective(lambda t: -np.inf, np.array([0.5]), [(0.0, 1.0)])
+        assert fit.converged is False
 
     def test_reference_dt_fit(self, nominal_fit):
         assert nominal_fit.converged
@@ -176,6 +180,22 @@ class TestFullBootstrap:
         assert draws.shape[0] <= 2
         assert np.isfinite(mcse).all() or (mcse > 0).all()
 
+    @pytest.mark.parametrize("n_b", [-1, 0, 1])
+    def test_fewer_than_two_replicates_is_a_config_error(self, nominal_fit, n_b):
+        with pytest.raises(ConfigError, match="at least 2 bootstrap replicates"):
+            full_bootstrap(nominal_fit, n_b=n_b, seed=1)
+        with pytest.raises(ConfigError, match="at least 2 bootstrap replicates"):
+            sandwich_score_cov(nominal_fit, n_b=n_b, seed=1)
+
+    def test_one_converged_replicate_is_an_interval_error(self, nominal_fit, monkeypatch):
+        import copulagree.fit as fit_module
+
+        worker = fit_module._boot_worker
+        monkeypatch.setattr(fit_module, "_boot_worker",
+                            lambda payload, j: worker(payload, j) if j == 0 else None)
+        with pytest.raises(IntervalError, match="^1 of 3 bootstrap replicates converged"):
+            full_bootstrap(nominal_fit, n_b=3, seed=1)
+
     def test_independence_interval_contains_zero(self):
         y = simulate_pair_scores(200, 0.0, make_family("gaussian", [0.0, 1.0]), seed=41)
         sm = make_pair_data(200, y)
@@ -190,7 +210,7 @@ class TestFullBootstrap:
         assert np.array_equal(d1, d3)
         # the semiparametric fit shares the worker and the reducer
         y = simulate_pair_scores(40, 0.6, make_family("gaussian", [0.0, 1.0]), seed=15)
-        smp_fit = fit_semiparametric(make_pair_data(40, y), confint="none", seed=11)
+        smp_fit = fit_agreement(make_pair_data(40, y), method="smp", confint="none", seed=11)
         s1, *_ = full_bootstrap(smp_fit, n_b=8, seed=11, threads=1)
         s2, *_ = full_bootstrap(smp_fit, n_b=8, seed=11, threads=1)
         s3, *_ = full_bootstrap(smp_fit, n_b=8, seed=11, threads=2)
@@ -213,24 +233,24 @@ class TestSemiparametric:
         y = simulate_pair_scores(60, 0.6, make_family("gaussian", [2.0, 1.0]), seed=51)
         sm = make_pair_data(60, y)
         sm_t = make_pair_data(60, np.exp(y))
-        fit = fit_semiparametric(sm, confint="none")
-        fit_t = fit_semiparametric(sm_t, confint="none")
+        fit = fit_agreement(sm, method="smp", confint="none")
+        fit_t = fit_agreement(sm_t, method="smp", confint="none")
         assert fit.theta[0] == fit_t.theta[0]
 
     def test_recovers_simulated_agreement(self):
         y = simulate_pair_scores(300, 0.8, make_family("gaussian", [26.5, 4.7]), seed=52)
         sm = make_pair_data(300, y)
-        fit = fit_semiparametric(sm, confint="none")
+        fit = fit_agreement(sm, method="smp", confint="none")
         assert fit.estimates[0] == pytest.approx(0.8, abs=0.05)
         assert fit.param_names == ("inter",)
 
     def test_bootstrap_interval_and_variants(self):
         y = simulate_pair_scores(120, 0.7, make_family("laplace", [0.0, 1.0]), seed=53)
         sm = make_pair_data(120, y)
-        fit = fit_semiparametric(sm, n_b=60, seed=13)
+        fit = fit_agreement(sm, method="smp", confint="bootstrap", bootit=60, seed=13)
         assert fit.interval_kind == "bootstrap"
         assert fit.lower[0] < fit.estimates[0] < fit.upper[0]
-        fitw = fit_semiparametric(sm, variant="winsorized", confint="none")
+        fitw = fit_agreement(sm, method="smp", smp_variant="winsorized", confint="none")
         assert 0.0 <= fitw.estimates[0] <= 1.0
 
     def test_interval_methods_cover_the_truth(self):
@@ -243,7 +263,7 @@ class TestSemiparametric:
         for run in range(20):
             y = simulate_pair_scores(150, 0.7, make_family("gaussian", [0.0, 1.0]), seed=1000 + run)
             sm = make_pair_data(150, y)
-            fit = fit_semiparametric(sm, n_b=150, seed=3000 + run)
+            fit = fit_agreement(sm, method="smp", confint="bootstrap", bootit=150, seed=3000 + run)
             glo, ghi = bootstrap_intervals(fit.boot_draws, fit.estimates, "gaussian")
             qlo, qhi = bootstrap_intervals(fit.boot_draws, fit.estimates, "quantile")
             cov_gauss += glo[0] <= 0.7 <= ghi[0]
@@ -255,11 +275,11 @@ class TestSemiparametric:
         y = simulate_pair_scores(8, 0.5, make_family("gaussian", [0.0, 1.0]), seed=54)
         sm = make_pair_data(8, y)
         with pytest.warns(UserWarning, match="ECDF"):
-            fit_semiparametric(sm, confint="none")
+            fit_agreement(sm, method="smp", confint="none")
 
     def test_level_guard(self, nominal_data):
         with pytest.raises(ConfigError):
-            fit_semiparametric(nominal_data)
+            fit_agreement(nominal_data, method="smp", confint="bootstrap")
 
 
 class TestFitConfig:

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import xlogy
+from scipy.special import betainc, betaln, xlogy
 
 from copulagree import (
     DegenerateDataError,
-    dt_cdf,
     empirical_cdf,
     initial_params,
     make_family,
@@ -26,14 +25,9 @@ def test_cdf_basic_values():
 
 
 def test_dt_cdf_midpoints():
-    assert dt_cdf(Categorical([0.5, 0.5]), 1) == pytest.approx(0.25)
-    assert dt_cdf(Categorical([0.5, 0.5]), 2) == pytest.approx(0.75)
-    assert dt_cdf(Categorical([0.2, 0.3, 0.5]), 2) == pytest.approx(0.35)
-
-
-def test_dt_cdf_rejects_continuous_families():
-    with pytest.raises(TypeError):
-        dt_cdf(make_family("gaussian", [0.0, 1.0]), 1)
+    assert Categorical([0.5, 0.5]).dt_cdf(1) == pytest.approx(0.25)
+    assert Categorical([0.5, 0.5]).dt_cdf(2) == pytest.approx(0.75)
+    assert Categorical([0.2, 0.3, 0.5]).dt_cdf(2) == pytest.approx(0.35)
 
 
 def test_initial_params_gamma_moment_formula():
@@ -153,7 +147,7 @@ def test_dt_cdf_between_adjacent_cdf_values():
     fam = Categorical(p)
     for y in range(1, 5):
         lo, hi = fam.cdf(y - 1), fam.cdf(y)
-        mid = dt_cdf(fam, y)
+        mid = fam.dt_cdf(y)
         assert lo < mid < hi
 
 
@@ -248,7 +242,8 @@ def _family_and_points(draw):
     psi = [draw(s) for s in psi_strategies]
     y = np.array(draw(st.lists(y_window, min_size=1, max_size=12)))
     # below about 1e-19 the root finder behind scipy.stats.beta.ppf gives up
-    # and returns values off by orders of magnitude (betaincinv returns NaN)
+    # and returns values off by orders of magnitude (betaincinv returns NaN);
+    # test_beta_quantile_follows_the_series_below_1e_15 covers smaller u
     u = np.array(draw(st.lists(st.floats(1e-15, 1.0) | st.just(0.0), min_size=1, max_size=12)))
     return tag, psi, y, u
 
@@ -278,3 +273,22 @@ def test_table_matches_scipy_stats(case):
         tag, (-np.inf, np.inf))
     assert (got[0][y < lo] == 0.0).all() and (got[0][y > hi] == 1.0).all()
     assert (got[1][(y < lo) | (y > hi)] == -np.inf).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHAPE, _SHAPE, st.floats(1e-300, 1e-15))
+def test_beta_quantile_follows_the_series_below_1e_15(a, b, u):
+    """Where scipy's inverse fails, check the beta quantile x against the
+    small-x series I_x(a, b) = x^a / (a B(a, b)) (1 + a (1 - b) / (a + 1) x + ...):
+    its leading term x0 gives x within a relative 2 |1 - b| / (a + 1) x0 once
+    x0 is small, and the table's cdf maps x back to u."""
+    fam = make_family("beta", [a, b])
+    x = float(fam.quantile(u))
+    assert 0.0 <= x < 1.0
+    x0 = np.exp((np.log(a) + betaln(a, b) + np.log(u)) / a)
+    if x0 < 1e-6:
+        assert x == pytest.approx(x0, rel=2.0 * abs(1.0 - b) / (a + 1.0) * x0 + 1e-12,
+                                  abs=np.finfo(float).tiny)
+    if x > 1e-290:
+        assert betainc(a, b, x) / u == pytest.approx(1.0, rel=1e-12)
+        assert fam.cdf(x) / u == pytest.approx(1.0, rel=1e-12)

@@ -171,6 +171,14 @@ class TestMlObjective:
         model = CopulaModel(pair_structure(2), "gaussian", np.zeros(4))
         assert loglik_ml(np.array([0.2, 0.0, -1.0]), model) == -np.inf
 
+    def test_overflowing_log_density_sum_gives_minus_inf(self):
+        # each of the 80 log-densities is about -5e307, finite, but their sum
+        # is below the float range
+        model = CopulaModel(pair_structure(40), "gaussian", np.ones(80))
+        theta = np.array([0.5, 0.0, 1e-154])
+        assert np.isfinite(model.family_of(theta).logpdf(model.y)).all()
+        assert loglik_ml(theta, model) == -np.inf
+
 
 class TestDtObjective:
     def test_independence_value(self):
