@@ -312,7 +312,6 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "alpha", csv, "--level", "interval")
         assert code == 1
 
-
     @pytest.mark.parametrize("argv", [
         ["fit", FIXTURE, "--level", "nominal", "--bootit", "0"],  # CML sandwich
         ["fit", FIXTURE, "--level", "nominal", "--confint", "bootstrap", "--bootit", "0"],
@@ -327,7 +326,7 @@ class TestErrorPaths:
                       f"got {argv[-1]}\n"
 
     def test_unreadable_input_is_a_data_error(self, capsys, tmp_path):
-        binary = tmp_path / "latin1.csv"
+        binary = tmp_path / "not_utf8.csv"
         binary.write_bytes(b"c.1.1,c.2.1\n\xff\xfe,1\n")
         for path in (tmp_path, binary):
             code, _, err = run_cli(capsys, "fit", str(path), "--level", "nominal")
@@ -376,7 +375,7 @@ def _fuzz_inputs(root: Path) -> dict:
         "out_of_support": ("ratio", "c.1.1,c.2.1\n" + "".join(
             f"{0.3 + 0.4 * a!r},{1.2 + 0.6 * b!r}\n" for a, b in rng.random((30, 2)).tolist())),
         "ragged": ("nominal", "c.1.1,c.2.1\n1,2\n3\n"),
-        "latin1": ("nominal", b"c.1.1,c.2.1\n\xff\xfe,1\n"),
+        "not_utf8": ("nominal", b"c.1.1,c.2.1\n\xff\xfe,1\n"),
     }
     out = {"interval": (write_pairs_csv(root / "interval.csv", n=30), "interval"),
            "directory": (str(root), "nominal")}
