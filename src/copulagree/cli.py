@@ -249,9 +249,21 @@ def _render_text(report: dict) -> str:
     return "\n\n".join(parts) + "\n"
 
 
+def _json_value(x):
+    """``x`` with every non-finite float replaced by None (JSON null):
+    ``Infinity`` and ``NaN`` are not JSON.  Text reports print them as is."""
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    if isinstance(x, float) and not np.isfinite(x):
+        return None
+    return x
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(_json_value(report), indent=2, allow_nan=False) + "\n"
     else:
         text = _render_text(report)
     if args.output:

@@ -296,6 +296,8 @@ def initial_params(data, family: str, n_categories: int | None = None) -> np.nda
     Gaussian/Laplace use (mean, sd); the t uses (mad, median) for (nu, mu);
     gamma and beta use moment formulas; Kumaraswamy starts at (1, 1); a
     categorical family starts at the empirical probabilities (full vector).
+    A categorical family needs K >= 2 categories: with one, no probability
+    vector is feasible, which is a ``DegenerateDataError``.
     """
     y = np.asarray(data, dtype=float)
     if y.size < 2:
@@ -304,6 +306,9 @@ def initial_params(data, family: str, n_categories: int | None = None) -> np.nda
     if family == "categorical":
         yi = y.astype(int)
         k = n_categories if n_categories is not None else int(yi.max())
+        if k < 2:
+            raise DegenerateDataError(
+                f"K = {k} category; a categorical marginal needs at least 2")
         p = np.bincount(yi, minlength=k + 1)[1:].astype(float) / yi.size
         # floor at 2*DELTA_P so renormalization cannot push an unobserved
         # category below the optimizer's probability floor

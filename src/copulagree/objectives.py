@@ -5,6 +5,14 @@ All objectives are pure functions of a packed parameter vector
 theta = (omega, psi) and return -inf (never raise) when theta leaves the
 positive-definite region or makes a marginal infeasible, so optimizers can
 penalize and recover.
+
+ML and SMP evaluate the Gaussian core unit by unit (``block_logdet_quadform``).
+CML and DT read integer counts that ``Objective`` takes once per dataset, so
+an evaluation's cost does not grow with the number of units: CML weights
+each distinct pair cell by its count (``cml_cells``), and DT, whose latent
+scores take only the K midpoint probits t_c, forms each pattern group's
+second moment S_g = Z_g'Z_g from category tallies (``dt_tally``), as
+Hartley & Hocking (1971) group the normal likelihood by missingness pattern.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from scipy.special import ndtr, ndtri
 from . import marginals
 from .errors import NumericalError
 from .structure import (
+    DIAG,
     OMEGA_MAX,
+    ZERO,
     AgreementStructure,
     block_logdet_quadform,
 )
@@ -228,11 +238,15 @@ class CopulaModel:
 
 @dataclass(eq=False)
 class Objective:
-    """A log-objective of packed theta; kind in {ml, dt, cml, smp}."""
+    """A log-objective of packed theta; kind in {ml, dt, cml, smp}.
+
+    CML and DT count what they need of the dataset once, here: the pair
+    cells of ``cml_cells`` or the ``dt_tally``.
+    """
 
     kind: str
     model: CopulaModel
-    _cells: tuple | None = field(default=None, repr=False)
+    _counts: tuple | DtTally | None = field(default=None, repr=False)
 
     def __post_init__(self):
         fam = self.model.family
@@ -245,15 +259,17 @@ class Objective:
         if self.kind not in ("ml", "dt", "cml", "smp"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.kind == "cml":
-            self._cells = cml_cells(self.model)
+            self._counts = cml_cells(self.model)
+        elif self.kind == "dt":
+            self._counts = dt_tally(self.model)
 
     def __call__(self, theta) -> float:
         if self.kind == "ml":
             return loglik_ml(theta, self.model)
         if self.kind == "dt":
-            return loglik_dt(theta, self.model)
+            return loglik_dt(theta, self.model, self._counts)
         if self.kind == "cml":
-            return loglik_cml(theta, self.model, self._cells)
+            return loglik_cml(theta, self.model, self._counts)
         omega, _ = self.model.unpack(theta)
         return loglik_smp(omega, self.model.structure, self.model.y)
 
@@ -267,9 +283,9 @@ def _gaussian_core(structure, omega, z) -> float:
     return -0.5 * logdet - 0.5 * (quad - math.fsum(z * z))
 
 
-def _loglik_probit(theta, model: CopulaModel, dt: bool) -> float:
-    """Marginal log-density plus the Gaussian core at the probit scores:
-    probits of the cdf, or of the jump midpoints when ``dt`` is set."""
+def loglik_ml(theta, model: CopulaModel) -> float:
+    """Exact log-likelihood for a continuous marginal: the log-density plus
+    the Gaussian core at the probits of the cdf."""
     omega, _ = model.unpack(theta)
     fam = model.family_of(theta)
     if fam is None:
@@ -280,19 +296,105 @@ def _loglik_probit(theta, model: CopulaModel, dt: bool) -> float:
         return -np.inf
     if not np.isfinite(logf):
         return -np.inf
-    z = _probit(fam.dt_cdf(model.y) if dt else fam.cdf(model.y))
-    core = _gaussian_core(model.structure, omega, z)
+    core = _gaussian_core(model.structure, omega, _probit(fam.cdf(model.y)))
     return core + logf
 
 
-def loglik_ml(theta, model: CopulaModel) -> float:
-    """Exact log-likelihood for a continuous marginal."""
-    return _loglik_probit(theta, model, dt=False)
+def _categories(model: CopulaModel) -> np.ndarray:
+    """The flat scores as 0-based categories; ValueError unless every score
+    is an integer category 1..K."""
+    k = model.n_categories
+    y = model.y.astype(np.intp) - 1
+    if not (np.array_equal(y + 1, model.y) and ((y >= 0) & (y < k)).all()):
+        raise ValueError(f"categorical scores must be integer categories 1..{k}")
+    return y
 
 
-def loglik_dt(theta, model: CopulaModel) -> float:
-    """Distributional-transform approximation: probits of jump midpoints."""
-    return _loglik_probit(theta, model, dt=True)
+@dataclass(frozen=True, eq=False)
+class DtTally:
+    """A dataset's integer counts for the DT objective.
+
+    ``lookup`` (G, M, M) holds each group's block codes, padded with identity
+    to the largest block size M.  ``cell`` is a flat (g, a, b) position in
+    that stack with a <= b, ``pair`` a flat category pair (c, d), and
+    ``count`` the number of units of group g with category c at block
+    position a and d at b, doubled when a < b so that the upper triangle
+    carries the whole symmetric inner product.  ``n_group`` counts the units
+    of each group and ``n_cat`` the scores of each category.
+    """
+
+    lookup: np.ndarray
+    cell: np.ndarray
+    pair: np.ndarray
+    count: np.ndarray
+    n_group: np.ndarray
+    n_cat: np.ndarray
+
+
+def dt_tally(model: CopulaModel) -> DtTally:
+    """Count the categories of ``model`` by pattern group and block position."""
+    k = model.n_categories
+    y = _categories(model)
+    groups = model.structure.groups
+    n_group = np.array([len(idx) for _, idx in groups])
+    size = max(len(code) for code, _ in groups)
+    lookup = np.full((len(groups), size, size), ZERO, dtype=np.intp)
+    lookup[:, range(size), range(size)] = DIAG
+    # each unit's flat score positions (padded with position 0) and block size
+    units = np.zeros((n_group.sum(), size), dtype=np.intp)
+    unit_size = np.repeat([len(code) for code, _ in groups], n_group)
+    first = np.cumsum(n_group) - n_group
+    for g, (code, idx) in enumerate(groups):
+        lookup[g, :len(code), :len(code)] = code
+        units[first[g]:first[g] + len(idx), :len(code)] = idx
+    a, b = np.nonzero(np.triu(np.ones((size, size), dtype=bool)))
+    unit_cell = (np.repeat(np.arange(len(groups)), n_group)[:, None] * size + a) * size + b
+    yu = y[units]
+    keys = (unit_cell * k + yu[:, a]) * k + yu[:, b]
+    key, count = np.unique(keys[b < unit_size[:, None]], return_counts=True)
+    cell, pair = np.divmod(key, k * k)
+    row, col = np.divmod(cell % (size * size), size)
+    return DtTally(lookup, cell, pair, np.where(row < col, 2.0, 1.0) * count, n_group,
+                   np.bincount(y, minlength=k))
+
+
+def loglik_dt(theta, model: CopulaModel, tally: DtTally | None = None) -> float:
+    """Distributional-transform approximation: the categorical log-mass plus
+    the Gaussian core at the probits of the jump midpoints.
+
+    Evaluated from ``tally`` (``dt_tally(model)`` when not given): the
+    log-mass and sum of squares are exactly rounded count-weighted sums over
+    the K categories, S_g is one weighted ``bincount`` of the products
+    t_c t_d, and the padded blocks are factored in one stacked Cholesky call.
+    The core is -(sum_g n_g log|Omega_g| + <Omega_g^{-1} - I, S_g>)/2, -inf
+    when a block is not positive definite.  No sum depends on the order of
+    the units or of the groups, so reordering units gives the same bits.
+    """
+    omega, _ = model.unpack(theta)
+    fam = model.family_of(theta)
+    if fam is None or not np.isfinite(omega).all():
+        return -np.inf
+    if tally is None:
+        tally = dt_tally(model)
+    categories = np.arange(1.0, model.n_categories + 1.0)
+    logf = _weighted_fsum(fam.logpdf(categories), tally.n_cat)
+    t = _probit(fam.dt_cdf(categories))
+    sq = _weighted_fsum(t * t, tally.n_cat)
+    # block codes ZERO = -2 and DIAG = -1 index the trailing 0 and 1
+    blocks = np.concatenate((omega, [0.0, 1.0]))[tally.lookup]
+    try:
+        chol = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    s = np.bincount(tally.cell, tally.count * np.outer(t, t).ravel()[tally.pair],
+                    minlength=blocks.size).reshape(blocks.shape)
+    inv_chol = np.linalg.inv(chol)
+    # per-block sums, each a function of its own block only, then exact sums
+    # across blocks, so the order of the groups does not matter
+    quad = math.fsum((inv_chol.mT @ inv_chol * s).sum(axis=(1, 2)))
+    log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    logdet = 2.0 * _weighted_fsum(log_diag, tally.n_group)
+    return -0.5 * logdet - 0.5 * (quad - sq) + logf
 
 
 def cml_cells(model: CopulaModel):
@@ -305,9 +407,7 @@ def cml_cells(model: CopulaModel):
     number of pairs.  Cells come in ascending (ci, cj, param) order.
     """
     k, q = model.n_categories, model.n_omega
-    y = model.y.astype(np.intp) - 1
-    if not (np.array_equal(y + 1, model.y) and ((y >= 0) & (y < k)).all()):
-        raise ValueError(f"cml scores must be integer categories 1..{k}")
+    y = _categories(model)
     cells = [np.empty(0, dtype=np.intp)]
     for code, idx in model.structure.groups:
         r, c = np.nonzero(np.triu(code >= 0, 1))

@@ -124,9 +124,15 @@ def build_structure(labels, observed: np.ndarray) -> AgreementStructure:
         (a, b): _pair_param_name(labels[a], labels[b], plain_inter)
         for a, b in combinations(range(len(labels)), 2)
     }
-    masks, first, inverse = np.unique(
-        observed, axis=0, return_index=True, return_inverse=True
-    )
+    # distinct mask rows in lexicographic order, each with its first unit (a
+    # stable sort keeps the lowest index first in every run of equal rows)
+    order = np.lexsort(observed.T[::-1])
+    ordered = observed[order]
+    run_start = np.ones(len(order), dtype=bool)
+    run_start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    masks, first = ordered[run_start], order[run_start]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(run_start) - 1
     together = masks.T @ masks
     param_names = _canonical_order(
         {nm for (a, b), nm in names.items() if nm is not None and together[a, b]},
@@ -143,14 +149,14 @@ def build_structure(labels, observed: np.ndarray) -> AgreementStructure:
     mask_group = np.empty(len(masks), dtype=int)
     for i in np.argsort(first):
         cols = np.flatnonzero(masks[i])
-        code = full[np.ix_(cols, cols)]
+        code = full[cols[:, None], cols]
         key = code.tobytes()
         if key not in group_of:
             group_of[key] = len(codes)
             code.flags.writeable = False
             codes.append(code)
         mask_group[i] = group_of[key]
-    unit_group = mask_group[inverse.reshape(-1)]
+    unit_group = mask_group[inverse]
     starts = np.cumsum(sizes) - sizes
     groups = tuple(
         (code, starts[np.flatnonzero(unit_group == g), None] + np.arange(len(code)))

@@ -342,15 +342,28 @@ class TestErrorPaths:
         code, out, _ = run_cli(capsys, "fit", str(path), "--level", "ratio", "--dist",
                                "kumaraswamy", "--confint", "none", "--format", "json")
         assert code == 0
-        assert json.loads(out)["convergence"]["converged"] is False
 
-    def test_simulate_from_a_single_category_exits_three(self, capsys, tmp_path):
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=not_json)
+        assert report["convergence"]["converged"] is False
+        assert report["convergence"]["objective"] is None
+        assert (report["aic"], report["bic"]) == (None, None)
+        code, text, _ = run_cli(capsys, "fit", str(path), "--level", "ratio", "--dist",
+                                "kumaraswamy", "--confint", "none")
+        assert code == 0
+        assert "at -inf after" in text and "AIC: inf" in text
+
+    def test_single_category_input_is_a_data_error(self, capsys, tmp_path):
         path = tmp_path / "k1.csv"
         path.write_text("c.1.1,c.2.1\n" + "1,1\n" * 20, encoding="utf-8")
-        code, out, err = run_cli(capsys, "simulate", str(path), "--level", "nominal",
-                                 "--seed", "1")
-        assert (code, out) == (3, "")
-        assert err.startswith("error: numeric:") and err.count("\n") == 1
+        for command in (["fit"], ["simulate"], ["influence", "--units", "2"]):
+            code, out, err = run_cli(capsys, *command, str(path), "--level", "nominal",
+                                     "--seed", "1")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: data:") and err.count("\n") == 1
+            assert "needs at least 2" in err
 
     def test_bayes_on_constant_scores_finishes(self, capsys, tmp_path):
         # sigma walks toward 0 (a wide log-sigma step gets there within the

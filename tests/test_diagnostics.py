@@ -4,7 +4,7 @@ import pytest
 from copulagree import (
     ConfigError,
     DataError,
-    NumericalError,
+    DegenerateDataError,
     aic_bic,
     build_structure,
     fit_agreement,
@@ -120,12 +120,13 @@ class TestSimulate:
         flat = simulate_flat(structure, [0.0], fam, np.random.default_rng(0))
         assert np.array_equal(flat, np.ones(18))
 
-    def test_single_category_fit_has_no_marginal_to_simulate_from(self):
+    def test_single_category_fit_is_degenerate_data(self):
+        # K = 1 leaves no feasible probability vector, so there is nothing to fit
         labs = parse_labels(["c.1.1", "c.2.1"]).labels
-        fit = fit_agreement(prepare(np.ones((20, 2)), labs, "nominal"), confint="none", seed=1)
-        assert fit.family_obj is None  # K = 1 leaves no feasible probability vector
-        with pytest.raises(NumericalError, match="infeasible"):
-            simulate_scores(fit, seed=1)
+        for method in ("dt", "cml"):
+            with pytest.raises(DegenerateDataError, match="needs at least 2"):
+                fit_agreement(prepare(np.ones((20, 2)), labs, "nominal"), method=method,
+                              confint="none", seed=1)
 
     def test_comonotone_limit_duplicates_scores(self):
         # at the box maximum omega = 0.999 the latent spread is ~0.045, which

@@ -76,6 +76,15 @@ def test_initial_params_degenerate_variance():
         initial_params([0.4, 0.4], "beta")
 
 
+def test_initial_params_single_category():
+    with pytest.raises(DegenerateDataError, match="needs at least 2"):
+        initial_params([1.0, 1.0, 1.0], "categorical")
+    with pytest.raises(DegenerateDataError, match="needs at least 2"):
+        initial_params([1.0, 1.0], "categorical", 1)
+    # one observed category of a declared K = 2 still has a feasible start
+    assert initial_params([2.0, 2.0], "categorical", 2).sum() == pytest.approx(1.0)
+
+
 def test_empirical_cdf_plain_clamps():
     fam = empirical_cdf([1.0, 2.0, 3.0, 4.0])
     assert fam.cdf(2.0) == pytest.approx(0.5)

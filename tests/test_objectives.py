@@ -14,6 +14,7 @@ from copulagree import (
     Objective,
     bivariate_normal_cdf,
     build_structure,
+    empirical_cdf,
     gradient,
     hessian,
     loglik_cml,
@@ -24,8 +25,8 @@ from copulagree import (
     prepare,
 )
 from copulagree.marginals import Categorical
-from copulagree.objectives import _probit, _weighted_fsum
-from copulagree.structure import pair_list
+from copulagree.objectives import _gaussian_core, _probit, _weighted_fsum
+from copulagree.structure import materialize_block, pair_list
 
 from conftest import nominal_matrix
 
@@ -245,7 +246,7 @@ class TestCmlObjective:
         s = build_structure(nominal_data.labels, nominal_data.observed)
         model = CopulaModel(s, "categorical", nominal_data.scores_flat(), 5)
         obj = Objective("cml", model)
-        assert obj._cells[3].sum() == len(pair_list(s))
+        assert obj._counts[3].sum() == len(pair_list(s))
 
 
 @st.composite
@@ -275,6 +276,17 @@ def cml_model(labels, grid, k):
                        sm.scores_flat(), k)
 
 
+def pair_rectangles(theta, model):
+    """Every pair's rectangle probability, evaluated on its own."""
+    omega, _ = model.unpack(theta)
+    fam = model.family_of(theta)
+    z0, z1 = _probit(fam.cdf(model.y)), _probit(fam.cdf(model.y - 1))
+    i, j, q = pair_list(model.structure).T
+    rho = omega[q]
+    return (bivariate_normal_cdf(z0[i], z0[j], rho) - bivariate_normal_cdf(z0[i], z1[j], rho)
+            - bivariate_normal_cdf(z1[i], z0[j], rho) + bivariate_normal_cdf(z1[i], z1[j], rho))
+
+
 @settings(max_examples=100, deadline=None)
 @given(nominal_layouts().filter(lambda case: case is not None), st.randoms())
 def test_cml_equals_per_pair_sum_and_ignores_unit_order(case, rnd):
@@ -282,16 +294,83 @@ def test_cml_equals_per_pair_sum_and_ignores_unit_order(case, rnd):
     model = cml_model(labels, grid, k)
     theta = np.concatenate([omega[: model.n_omega], p[:-1]])
     # oracle: every pair evaluated on its own, summed exactly
-    fam = model.family_of(theta)
-    z0, z1 = _probit(fam.cdf(model.y)), _probit(fam.cdf(model.y - 1))
-    i, j, q = pair_list(model.structure).T
-    rho = np.asarray(omega)[q]
-    rect = (bivariate_normal_cdf(z0[i], z0[j], rho) - bivariate_normal_cdf(z0[i], z1[j], rho)
-            - bivariate_normal_cdf(z1[i], z0[j], rho) + bivariate_normal_cdf(z1[i], z1[j], rho))
+    rect = pair_rectangles(theta, model)
     expected = math.fsum(np.log(rect)) if (rect > 0.0).all() else -np.inf
     assert loglik_cml(theta, model) == expected
     order = rnd.sample(range(len(grid)), len(grid))
     assert loglik_cml(theta, cml_model(labels, grid[order], k)) == expected
+
+
+def dt_oracle(theta, model):
+    """The per-unit DT path: the Gaussian core on the probits of each score's
+    jump midpoint, plus the exactly summed log-mass."""
+    omega, _ = model.unpack(theta)
+    fam = model.family_of(theta)
+    if fam is None:
+        return -np.inf
+    z = _probit(fam.dt_cdf(model.y))
+    return _gaussian_core(model.structure, omega, z) + math.fsum(fam.logpdf(model.y))
+
+
+def close(value, expected, rounding=0.0):
+    """Equal within 1e-12 max(1, |expected|) plus ``rounding``; -inf only
+    where expected is."""
+    if expected == -np.inf or value == -np.inf:
+        return value == expected
+    return abs(value - expected) <= 1e-12 * max(1.0, abs(expected)) + rounding
+
+
+def well_posed(structure, omega, margin=1e-2):
+    """Every block's eigenvalues keep ``margin`` away from zero.  Near a
+    singular block, whether it factors and what the core is depend on the
+    rounding of the factorization, which differs between block layouts and
+    column orders, so objectives are compared only on well-posed blocks."""
+    return all(np.abs(np.linalg.eigvalsh(materialize_block(code, omega))).min() >= margin
+               for code, _ in structure.groups)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nominal_layouts().filter(lambda case: case is not None), st.randoms())
+def test_dt_tally_equals_per_unit_path_and_ignores_unit_order(case, rnd):
+    labels, grid, k, omega, p = case
+    model = cml_model(labels, grid, k)
+    theta = np.concatenate([omega[: model.n_omega], p[:-1]])
+    value = loglik_dt(theta, model)
+    order = rnd.sample(range(len(grid)), len(grid))
+    assert loglik_dt(theta, cml_model(labels, grid[order], k)) == value
+    if well_posed(model.structure, theta[: model.n_omega]):
+        assert close(value, dt_oracle(theta, model))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nominal_layouts().filter(lambda case: case is not None), st.randoms())
+def test_objectives_ignore_column_order(case, rnd):
+    labels, grid, k, omega, p = case
+    perm = rnd.sample(range(len(labels)), len(labels))
+    values = []
+    for labs, scores in ((labels, grid), (tuple(labels[j] for j in perm), grid[:, perm])):
+        cat = cml_model(labs, scores, k)
+        omega_q = np.asarray(omega[: cat.n_omega])
+        theta = np.concatenate([omega_q, p[:-1]])
+        sm = prepare(scores, labs, "interval")
+        s = build_structure(sm.labels, sm.observed)
+        y = sm.scores_flat()
+        values.append({
+            "ml": loglik_ml(np.concatenate([omega_q, [2.5, 1.2]]), CopulaModel(s, "gaussian", y)),
+            "dt": loglik_dt(theta, cat),
+            "cml": loglik_cml(theta, cat),
+            "smp": loglik_smp(omega_q, s, _probit(empirical_cdf(y).cdf(y))),
+        })
+        rect = pair_rectangles(theta, cat)
+    before, after = values
+    if well_posed(cat.structure, omega_q):
+        for kind in ("ml", "dt", "smp"):
+            assert close(after[kind], before[kind])
+    # a CML rectangle is v00 - v01 - v10 + v11; swapping a pair's columns
+    # swaps its middle terms, which moves the rectangle by up to 3 eps
+    eps = np.finfo(float).eps
+    if (rect > 4.0 * eps).all():
+        assert close(after["cml"], before["cml"], 4.0 * eps * np.sum(1.0 / rect))
 
 
 @settings(max_examples=200, deadline=None)
