@@ -78,11 +78,16 @@ class PosteriorResult:
     loglik_draws: np.ndarray = field(repr=False, default=None)
 
     def save_draws(self, path) -> None:
-        """Dump retained draws as CSV, one row per draw, header = parameter names."""
+        """Dump retained draws as ``csv.writer`` would, header = parameter names,
+        formatting a value once per run of bitwise-equal draws in its column."""
+        bits = self.samples.view(np.int64)
+        new = np.ones(bits.shape, dtype=bool)
+        new[1:] = bits[1:] != bits[:-1]
+        cols = [np.array([repr(v) for v in col[run].tolist()], dtype=object)[np.cumsum(run) - 1]
+                for col, run in zip(self.samples.T, new.T)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.param_names)
-            writer.writerows(self.samples.tolist())
+            csv.writer(fh, lineterminator="\n").writerow(self.param_names)
+            fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 def mcse(chain) -> float:

@@ -297,7 +297,8 @@ def initial_params(data, family: str, n_categories: int | None = None) -> np.nda
     gamma and beta use moment formulas; Kumaraswamy starts at (1, 1); a
     categorical family starts at the empirical probabilities (full vector).
     A categorical family needs K >= 2 categories: with one, no probability
-    vector is feasible, which is a ``DegenerateDataError``.
+    vector is feasible, which is a ``DegenerateDataError``; so is zero sample
+    variance under any continuous family.
     """
     y = np.asarray(data, dtype=float)
     if y.size < 2:
@@ -314,6 +315,11 @@ def initial_params(data, family: str, n_categories: int | None = None) -> np.nda
         # category below the optimizer's probability floor
         p = np.clip(p, 2.0 * DELTA_P, 1.0 - DELTA_P)
         return p / p.sum()
+    if family not in _TABLE:
+        raise ValueError(f"unknown family {family!r}")
+    s2 = y.var(ddof=1)
+    if (y == y[0]).all() or s2 <= 0.0:
+        raise DegenerateDataError(f"zero sample variance: {family} starting values undefined")
     if family in ("gaussian", "laplace"):
         return np.array([y.mean(), max(y.std(ddof=1), POS_MIN)])
     if family == "t":
@@ -321,16 +327,9 @@ def initial_params(data, family: str, n_categories: int | None = None) -> np.nda
         mad = 1.4826 * np.median(np.abs(y - med))
         return np.array([max(mad, POS_MIN), med])
     if family in ("gamma", "beta"):
-        s2 = y.var(ddof=1)
-        if s2 <= 0.0:
-            raise DegenerateDataError(f"zero sample variance: {family} starting values undefined")
         ybar = y.mean()
         if family == "gamma":
             return np.array([max(ybar**2 / s2, POS_MIN), max(ybar / s2, POS_MIN)])
         f = ybar * (1.0 - ybar) / s2 - 1.0
         return np.array([max(ybar * f, POS_MIN), max((1.0 - ybar) * f, POS_MIN)])
-    if family == "kumaraswamy":
-        return np.array([1.0, 1.0])
-    if family == "empirical":
-        return np.array([])
-    raise ValueError(f"unknown family {family!r}")
+    return np.array([1.0, 1.0])  # kumaraswamy

@@ -6,19 +6,19 @@ theta = (omega, psi) and return -inf (never raise) when theta leaves the
 positive-definite region or makes a marginal infeasible, so optimizers can
 penalize and recover.
 
-ML and SMP evaluate the Gaussian core unit by unit (``block_logdet_quadform``).
-CML and DT read integer counts that ``Objective`` takes once per dataset, so
-an evaluation's cost does not grow with the number of units: CML weights
-each distinct pair cell by its count (``cml_cells``), and DT, whose latent
-scores take only the K midpoint probits t_c, forms each pattern group's
-second moment S_g = Z_g'Z_g from category tallies (``dt_tally``), as
-Hartley & Hocking (1971) group the normal likelihood by missingness pattern.
+ML, DT and SMP share one Gaussian core that reads of the data only each
+pattern group's second moment S_g = Z_g'Z_g (``block_logdet_quadform``; the
+per-unit path is kept in the tests, as its oracle).  ML forms S_g on each
+evaluation, in a canonical unit order (``CopulaModel.unit_order``).  SMP,
+CML and DT count what they need once per dataset: S_g of the fixed scores,
+each distinct pair cell (``cml_cells``), or category tallies (``dt_tally``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -26,11 +26,12 @@ from scipy.special import ndtr, ndtri
 from . import marginals
 from .errors import NumericalError
 from .structure import (
-    DIAG,
     OMEGA_MAX,
-    ZERO,
     AgreementStructure,
     block_logdet_quadform,
+    second_moments,
+    sorted_positions,
+    weighted_fsum,
 )
 
 # Probit arguments are clamped before inversion: DT midpoints can hit 0/1
@@ -229,6 +230,13 @@ class CopulaModel:
             a = np.vstack([a, row])
         return a
 
+    @cached_property
+    def unit_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The structure's ``positions`` with each group's units sorted by
+        their scores, and the sorted scores; the same for any unit order of
+        the same data.  Built on first use (an ML objective's first call)."""
+        return sorted_positions(self.structure, self.y), np.sort(self.y)
+
     def face_constraint(self) -> tuple[int, float] | None:
         """Linear feasibility face of the derived p_K, for the optimizer."""
         if self.family == "categorical":
@@ -240,13 +248,14 @@ class CopulaModel:
 class Objective:
     """A log-objective of packed theta; kind in {ml, dt, cml, smp}.
 
-    CML and DT count what they need of the dataset once, here: the pair
-    cells of ``cml_cells`` or the ``dt_tally``.
+    CML, DT and SMP count what they need of the dataset once, here: the pair
+    cells of ``cml_cells``, the ``dt_tally``, or the standardized scores'
+    ``second_moments``.
     """
 
     kind: str
     model: CopulaModel
-    _counts: tuple | DtTally | None = field(default=None, repr=False)
+    _counts: tuple | DtTally | np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         fam = self.model.family
@@ -262,6 +271,9 @@ class Objective:
             self._counts = cml_cells(self.model)
         elif self.kind == "dt":
             self._counts = dt_tally(self.model)
+        elif self.kind == "smp":
+            self._counts = second_moments(self.model.structure, self.model.y,
+                                          self.model.unit_order[0])
 
     def __call__(self, theta) -> float:
         if self.kind == "ml":
@@ -271,33 +283,26 @@ class Objective:
         if self.kind == "cml":
             return loglik_cml(theta, self.model, self._counts)
         omega, _ = self.model.unpack(theta)
-        return loglik_smp(omega, self.model.structure, self.model.y)
-
-
-def _gaussian_core(structure, omega, z) -> float:
-    """-log|Omega|/2 - z'(Omega^{-1} - I)z/2, or -inf off the PD region."""
-    ld = block_logdet_quadform(structure, omega, z)
-    if ld is None:
-        return -np.inf
-    logdet, quad = ld
-    return -0.5 * logdet - 0.5 * (quad - math.fsum(z * z))
+        return loglik_smp(omega, self.model.structure, self.model.y, self._counts)
 
 
 def loglik_ml(theta, model: CopulaModel) -> float:
     """Exact log-likelihood for a continuous marginal: the log-density plus
-    the Gaussian core at the probits of the cdf."""
+    the Gaussian core at z = probit(F(y)).  Every sum over scores runs in
+    ``model.unit_order``, so reordering units gives the same bits."""
     omega, _ = model.unpack(theta)
     fam = model.family_of(theta)
     if fam is None:
         return -np.inf
-    try:
-        logf = math.fsum(np.atleast_1d(fam.logpdf(model.y)))
-    except OverflowError:  # finite terms whose sum leaves the float range
-        return -np.inf
+    positions, y_sorted = model.unit_order
+    with np.errstate(over="ignore"):  # finite terms whose sum leaves the float range
+        logf = float(np.sum(fam.logpdf(y_sorted)))
     if not np.isfinite(logf):
         return -np.inf
-    core = _gaussian_core(model.structure, omega, _probit(fam.cdf(model.y)))
-    return core + logf
+    s = second_moments(model.structure, _probit(fam.cdf(model.y)), positions)
+    sq = math.fsum(np.diagonal(s, axis1=1, axis2=2).ravel())
+    core = block_logdet_quadform(model.structure, omega, s, sq)
+    return -np.inf if core is None else core + logf
 
 
 def _categories(model: CopulaModel) -> np.ndarray:
@@ -314,20 +319,16 @@ def _categories(model: CopulaModel) -> np.ndarray:
 class DtTally:
     """A dataset's integer counts for the DT objective.
 
-    ``lookup`` (G, M, M) holds each group's block codes, padded with identity
-    to the largest block size M.  ``cell`` is a flat (g, a, b) position in
-    that stack with a <= b, ``pair`` a flat category pair (c, d), and
-    ``count`` the number of units of group g with category c at block
-    position a and d at b, doubled when a < b so that the upper triangle
-    carries the whole symmetric inner product.  ``n_group`` counts the units
-    of each group and ``n_cat`` the scores of each category.
+    ``cell`` is a flat (g, a, b) position in the structure's block stack
+    with a <= b, ``pair`` a flat category pair (c, d), and ``count`` the
+    number of units of group g with categories c at position a and d at b,
+    doubled when a < b (the upper triangle carries the symmetric inner
+    product).  ``n_cat`` counts the scores of each category.
     """
 
-    lookup: np.ndarray
     cell: np.ndarray
     pair: np.ndarray
     count: np.ndarray
-    n_group: np.ndarray
     n_cat: np.ndarray
 
 
@@ -335,66 +336,44 @@ def dt_tally(model: CopulaModel) -> DtTally:
     """Count the categories of ``model`` by pattern group and block position."""
     k = model.n_categories
     y = _categories(model)
-    groups = model.structure.groups
-    n_group = np.array([len(idx) for _, idx in groups])
-    size = max(len(code) for code, _ in groups)
-    lookup = np.full((len(groups), size, size), ZERO, dtype=np.intp)
-    lookup[:, range(size), range(size)] = DIAG
-    # each unit's flat score positions (padded with position 0) and block size
-    units = np.zeros((n_group.sum(), size), dtype=np.intp)
-    unit_size = np.repeat([len(code) for code, _ in groups], n_group)
-    first = np.cumsum(n_group) - n_group
-    for g, (code, idx) in enumerate(groups):
-        lookup[g, :len(code), :len(code)] = code
-        units[first[g]:first[g] + len(idx), :len(code)] = idx
+    s = model.structure
+    size = s.lookup.shape[1]
     a, b = np.nonzero(np.triu(np.ones((size, size), dtype=bool)))
-    unit_cell = (np.repeat(np.arange(len(groups)), n_group)[:, None] * size + a) * size + b
-    yu = y[units]
+    group = np.repeat(np.arange(len(s.n_group)), s.n_group)
+    unit_cell = (group[:, None] * size + a) * size + b
+    # each unit's categories by block position; padding reads a dummy 0
+    units = s.positions.T
+    yu = np.append(y, 0)[units]
     keys = (unit_cell * k + yu[:, a]) * k + yu[:, b]
-    key, count = np.unique(keys[b < unit_size[:, None]], return_counts=True)
+    key, count = np.unique(keys[units[:, b] < s.n], return_counts=True)
     cell, pair = np.divmod(key, k * k)
     row, col = np.divmod(cell % (size * size), size)
-    return DtTally(lookup, cell, pair, np.where(row < col, 2.0, 1.0) * count, n_group,
+    return DtTally(cell, pair, np.where(row < col, 2.0, 1.0) * count,
                    np.bincount(y, minlength=k))
 
 
 def loglik_dt(theta, model: CopulaModel, tally: DtTally | None = None) -> float:
     """Distributional-transform approximation: the categorical log-mass plus
-    the Gaussian core at the probits of the jump midpoints.
-
-    Evaluated from ``tally`` (``dt_tally(model)`` when not given): the
-    log-mass and sum of squares are exactly rounded count-weighted sums over
-    the K categories, S_g is one weighted ``bincount`` of the products
-    t_c t_d, and the padded blocks are factored in one stacked Cholesky call.
-    The core is -(sum_g n_g log|Omega_g| + <Omega_g^{-1} - I, S_g>)/2, -inf
-    when a block is not positive definite.  No sum depends on the order of
-    the units or of the groups, so reordering units gives the same bits.
+    the Gaussian core at the probits of the jump midpoints, from ``tally``
+    (``dt_tally(model)`` when not given).  The log-mass and sum of squares
+    are exactly rounded count-weighted sums over the K categories and S_g is
+    one weighted ``bincount``, so reordering units gives the same bits.
     """
     omega, _ = model.unpack(theta)
     fam = model.family_of(theta)
-    if fam is None or not np.isfinite(omega).all():
+    if fam is None:
         return -np.inf
     if tally is None:
         tally = dt_tally(model)
     categories = np.arange(1.0, model.n_categories + 1.0)
-    logf = _weighted_fsum(fam.logpdf(categories), tally.n_cat)
+    logf = weighted_fsum(fam.logpdf(categories), tally.n_cat)
     t = _probit(fam.dt_cdf(categories))
-    sq = _weighted_fsum(t * t, tally.n_cat)
-    # block codes ZERO = -2 and DIAG = -1 index the trailing 0 and 1
-    blocks = np.concatenate((omega, [0.0, 1.0]))[tally.lookup]
-    try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        return -np.inf
+    sq = weighted_fsum(t * t, tally.n_cat)
+    lookup = model.structure.lookup
     s = np.bincount(tally.cell, tally.count * np.outer(t, t).ravel()[tally.pair],
-                    minlength=blocks.size).reshape(blocks.shape)
-    inv_chol = np.linalg.inv(chol)
-    # per-block sums, each a function of its own block only, then exact sums
-    # across blocks, so the order of the groups does not matter
-    quad = math.fsum((inv_chol.mT @ inv_chol * s).sum(axis=(1, 2)))
-    log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    logdet = 2.0 * _weighted_fsum(log_diag, tally.n_group)
-    return -0.5 * logdet - 0.5 * (quad - sq) + logf
+                    minlength=lookup.size).reshape(lookup.shape)
+    core = block_logdet_quadform(model.structure, omega, s, sq)
+    return -np.inf if core is None else core + logf
 
 
 def cml_cells(model: CopulaModel):
@@ -406,31 +385,17 @@ def cml_cells(model: CopulaModel):
     and ``cj`` are the 0-based categories of scores i and j, ``counts`` the
     number of pairs.  Cells come in ascending (ci, cj, param) order.
     """
-    k, q = model.n_categories, model.n_omega
-    y = _categories(model)
-    cells = [np.empty(0, dtype=np.intp)]
-    for code, idx in model.structure.groups:
-        r, c = np.nonzero(np.triu(code >= 0, 1))
-        yg = y[idx]
-        cells.append(((yg[:, r] * k + yg[:, c]) * q + code[r, c]).ravel())
-    counts = np.bincount(np.concatenate(cells), minlength=k * k * q)
+    k, q, s = model.n_categories, model.n_omega, model.structure
+    a, b = np.triu_indices(s.lookup.shape[1], 1)
+    # each unit's pair parameters; padding and structural zeros are negative
+    param = s.lookup[:, a, b].repeat(s.n_group, axis=0)
+    yu = np.append(_categories(model), 0)[s.positions.T]
+    cells = (yu[:, a] * k + yu[:, b]) * q + param
+    counts = np.bincount(cells[param >= 0], minlength=k * k * q)
     nz = np.flatnonzero(counts)
     ci, rest = np.divmod(nz, k * q)
     cj, param = np.divmod(rest, q)
     return ci, cj, param, counts[nz]
-
-
-def _weighted_fsum(x, counts) -> float:
-    """``math.fsum(np.repeat(x, counts))`` without the repeat.
-
-    Each x splits exactly into hi + lo with 26-bit halves (Veltkamp), so
-    ``counts * hi`` and ``counts * lo`` are exact for counts below 2**26 and
-    fsum of them is the correctly rounded weighted sum.
-    """
-    t = x * (2.0 ** 27 + 1.0)
-    hi = t - (t - x)
-    lo = x - hi
-    return math.fsum(np.concatenate((counts * hi, counts * lo)))
 
 
 def loglik_cml(theta, model: CopulaModel, cells=None) -> float:
@@ -459,17 +424,16 @@ def loglik_cml(theta, model: CopulaModel, cells=None) -> float:
     rect = v[0] - v[1] - v[2] + v[3]
     if (rect <= 0.0).any():
         return -np.inf
-    return _weighted_fsum(np.log(rect), counts)
+    return weighted_fsum(np.log(rect), counts)
 
 
-def loglik_smp(omega, structure: AgreementStructure, zhat) -> float:
-    """Copula-only objective for pre-standardized scores (no -I correction)."""
-    zhat = np.asarray(zhat, dtype=float)
-    ld = block_logdet_quadform(structure, omega, zhat)
-    if ld is None:
-        return -np.inf
-    logdet, quad = ld
-    return -0.5 * logdet - 0.5 * quad
+def loglik_smp(omega, structure: AgreementStructure, zhat, moments=None) -> float:
+    """Copula-only objective for pre-standardized scores (no -I correction),
+    from the ``second_moments`` of zhat (formed here when not given)."""
+    if moments is None:
+        moments = second_moments(structure, zhat, sorted_positions(structure, zhat))
+    core = block_logdet_quadform(structure, omega, moments)
+    return -np.inf if core is None else core
 
 
 def stencil(fn, theta):

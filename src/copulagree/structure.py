@@ -3,15 +3,18 @@
 A unit's correlation block depends only on which columns it observed, so the
 structure holds one block per distinct pattern, with the flat positions of
 the units that share it.  Entries are diagonal ones, structural zeros, or
-references to a named agreement parameter.  All linear algebra is done
-blockwise, and each distinct pattern is factorized once per parameter value.
+references to a named agreement parameter.  The blocks are also kept as one
+padded stack: the Gaussian core (``block_logdet_quadform``) factors them in
+one call and reads of the data only each pattern group's second moment
+S_g = Z_g'Z_g, as Hartley & Hocking (1971) group the normal likelihood by
+missingness pattern.  The per-unit path is kept in the tests, as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -39,25 +42,54 @@ class AgreementStructure:
     zeros, otherwise an index into ``param_names``.  Each row of ``idx`` is
     one unit's flat score positions, units in ascending order; flat score
     vectors (length ``n``) are ordered unit-major, column-ascending.
+
+    The padded stack: ``lookup`` (G, M, M) holds the codes padded with
+    identity to the largest block size M, ``n_group`` each group's unit
+    count, and column u of ``positions`` (M, units) one unit's flat
+    positions, group by group, padded with ``n`` (index of an appended 0).
     """
 
     param_names: tuple[str, ...]
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     n: int
+    lookup: np.ndarray = field(init=False, repr=False)
+    n_group: np.ndarray = field(init=False, repr=False)
+    positions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_group = np.array([len(idx) for _, idx in self.groups], dtype=np.intp)
+        size = max(len(code) for code, _ in self.groups)
+        lookup = np.full((len(self.groups), size, size), ZERO, dtype=np.intp)
+        lookup[:, range(size), range(size)] = DIAG
+        positions = np.full((size, n_group.sum()), self.n, dtype=np.intp)
+        starts = np.cumsum(n_group) - n_group
+        for g, (code, idx) in enumerate(self.groups):
+            lookup[g, :len(code), :len(code)] = code
+            positions[:len(code), starts[g]:starts[g] + len(idx)] = idx.T
+        for name, value in zip(("lookup", "n_group", "positions"), (lookup, n_group, positions)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_params(self) -> int:
         return len(self.param_names)
 
+    def blocks(self, omega) -> np.ndarray:
+        """The (G, M, M) stack of correlation blocks at ``omega``."""
+        # block codes ZERO = -2 and DIAG = -1 index the trailing 0 and 1
+        return np.concatenate((omega, [0.0, 1.0]))[self.lookup]
 
-def materialize_block(code: np.ndarray, omega) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    out = np.empty(code.shape, dtype=float)
-    out[code == DIAG] = 1.0
-    out[code == ZERO] = 0.0
-    sel = code >= 0
-    out[sel] = omega[code[sel]]
-    return out
+
+def weighted_fsum(x, counts) -> float:
+    """``math.fsum(np.repeat(x, counts))`` without the repeat.
+
+    Each x splits exactly into hi + lo with 26-bit halves (Veltkamp), so
+    ``counts * hi`` and ``counts * lo`` are exact for counts below 2**26 and
+    fsum of them is the correctly rounded weighted sum.
+    """
+    t = x * (2.0 ** 27 + 1.0)
+    hi = t - (t - x)
+    lo = x - hi
+    return math.fsum(np.concatenate((counts * hi, counts * lo)))
 
 
 def _pair_param_name(a: ColumnLabel, b: ColumnLabel, plain_inter: bool) -> str | None:
@@ -165,61 +197,60 @@ def build_structure(labels, observed: np.ndarray) -> AgreementStructure:
     return AgreementStructure(tuple(param_names), groups, int(sizes.sum()))
 
 
-def _solve_lower_batched(chol: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
-    """Forward substitution for many right-hand sides (rows of ``z_rows``).
+def block_logdet_quadform(structure: AgreementStructure, omega, s, sq=0.0):
+    """The Gaussian core -(sum_g n_g log|Omega_g| + <Omega_g^{-1}, S_g> - sq)/2.
 
-    Scalar recurrence order is fixed, so each unit's solution is bitwise
-    independent of which other units share the batch; combined with the
-    order-independent reductions below this makes the objective exactly
-    invariant under unit reordering.
-    """
-    m = chol.shape[0]
-    w = np.empty_like(z_rows)
-    for k in range(m):
-        acc = z_rows[:, k].copy()
-        for j in range(k):
-            acc -= chol[k, j] * w[:, j]
-        w[:, k] = acc / chol[k, k]
-    return w
-
-
-def block_logdet_quadform(structure: AgreementStructure, omega, z):
-    """Blockwise log|Omega| and z' Omega^{-1} z via per-pattern Cholesky.
-
-    Returns ``(logdet, quadform)``, or None when some block is not positive
-    definite (an in-band result callers map to an infinite objective).
+    ``s`` is the (G, M, M) stack of ``second_moments``; ``sq`` the sum of
+    squares of the -I correction.  Returns None when some block is not
+    positive definite (an in-band result callers map to an infinite
+    objective).  Sums across blocks are exact, so group order does not matter.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.shape != (structure.n_params,):
-        raise ValueError(
-            f"expected {structure.n_params} agreement parameters, got {omega.shape}"
-        )
+        raise ValueError(f"expected {structure.n_params} agreement parameters, got {omega.shape}")
     if not np.isfinite(omega).all():
         return None
-    z = np.asarray(z, dtype=float)
-    logdet_parts = []
-    quad_parts = []
-    for code, idx in structure.groups:
-        m = materialize_block(code, omega)
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            return None
-        logdet_parts.append(idx.shape[0] * 2.0 * math.fsum(np.log(np.diag(chol))))
-        w = _solve_lower_batched(chol, z[idx])
-        quad_parts.extend(np.sum(w * w, axis=1))
-    return math.fsum(logdet_parts), math.fsum(quad_parts)
+    try:
+        chol = np.linalg.cholesky(structure.blocks(omega))
+    except np.linalg.LinAlgError:
+        return None
+    inv_chol = np.linalg.inv(chol)
+    quad = math.fsum((inv_chol.mT @ inv_chol * s).sum(axis=(1, 2)))
+    log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    logdet = 2.0 * weighted_fsum(log_diag, structure.n_group)
+    return -0.5 * logdet - 0.5 * (quad - sq)
+
+
+def sorted_positions(structure: AgreementStructure, values) -> np.ndarray:
+    """``structure.positions`` with each group's units lexsorted by their flat
+    ``values``: the same columns for any unit order of the same data."""
+    rows = np.append(values, 0.0)[structure.positions]
+    group = np.repeat(np.arange(len(structure.n_group)), structure.n_group)
+    return structure.positions[:, np.lexsort((*rows[::-1], group))]
+
+
+def second_moments(structure: AgreementStructure, z, positions) -> np.ndarray:
+    """Each group's S_g = Z_g'Z_g of the flat scores ``z``, summed over units in
+    the column order of ``positions``, as the upper triangles of a (G, M, M)
+    stack with off-diagonal entries doubled."""
+    rows = np.append(z, 0.0)[positions]
+    m = len(rows)
+    starts = np.cumsum(structure.n_group) - structure.n_group
+    s = np.zeros((len(starts), m, m))
+    for a, b in zip(*np.triu_indices(m)):
+        s[:, a, b] = (1.0 if a == b else 2.0) * np.add.reduceat(rows[a] * rows[b], starts)
+    return s
 
 
 def simulate_latent(structure: AgreementStructure, omega, rng) -> np.ndarray:
-    """Draw the flat latent Gaussian vector Z ~ N(0, Omega(omega)) blockwise."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    """Draw the flat latent Gaussian vector Z ~ N(0, Omega(omega)) blockwise;
+    each block is factored unpadded, since padding can move the last bit."""
+    blocks = structure.blocks(np.atleast_1d(np.asarray(omega, dtype=float)))
     z = np.empty(structure.n)
-    for code, idx in structure.groups:
-        m = materialize_block(code, omega)
-        chol = np.linalg.cholesky(m)
-        draws = rng.standard_normal((idx.shape[0], code.shape[0]))
-        z[idx] = draws @ chol.T
+    for block, (code, idx) in zip(blocks, structure.groups):
+        m = len(code)
+        chol = np.linalg.cholesky(block[:m, :m])
+        z[idx] = rng.standard_normal((idx.shape[0], m)) @ chol.T
     return z
 
 

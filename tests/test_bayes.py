@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -262,3 +265,38 @@ def test_save_draws_csv(tmp_path):
     assert len(lines) == post.draws_taken + 1
     first = np.array([float(v) for v in lines[1].split(",")])
     assert first == pytest.approx(post.samples[0])
+    assert (post.samples[1:] == post.samples[:-1]).any()  # rejected proposals repeat
+    assert out.read_bytes() == csv_writer_bytes(post.samples, post.param_names)
+
+
+def saved_draws(tmp_path, samples, names):
+    post = PosteriorResult(
+        samples=np.asarray(samples, dtype=float), param_names=names, means=None,
+        lower=None, upper=None, mcse_values=None, accept={}, dic=0.0,
+        draws_taken=len(samples), converged=True, control=None,
+    )
+    post.save_draws(tmp_path / "draws.csv")
+    return (tmp_path / "draws.csv").read_bytes()
+
+
+def csv_writer_bytes(samples, names):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows(np.asarray(samples, dtype=float).tolist())
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("samples", [
+    # runs of repeated values, as after rejected proposals, in every column
+    [[0.5, 1.0, 2.0], [0.5, 1.0, 2.5], [0.5, 1.25, 2.5], [0.7, 1.25, 2.5],
+     [0.7, 1.25, 2.5], [0.1 + 0.2, 1e-300, np.inf]],
+    # -0.0 and 0.0 are equal but print differently
+    [[0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [np.nan, 0.0]],
+    # one draw
+    [[0.25, -3.5e-17, 12.0]],
+])
+def test_save_draws_bytes_equal_csv_writer(tmp_path, samples):
+    names = tuple(f"p{j}" for j in range(len(samples[0])))
+    assert saved_draws(tmp_path, samples, names) == csv_writer_bytes(samples, names)
+

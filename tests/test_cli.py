@@ -300,8 +300,10 @@ class TestErrorPaths:
         assert after_error == alone
 
     def test_numerical_failure_exits_three(self, capsys, tmp_path):
+        # nearly constant scores (exactly constant ones are a data error):
+        # the fitted sigma is so small that the Hessian stencil crosses 0
         path = tmp_path / "const.csv"
-        path.write_text("c.1.1,c.2.1\n" + "5,5\n" * 4, encoding="utf-8")
+        path.write_text("c.1.1,c.2.1\n" + "5,5\n" * 3 + "5,5.000000001\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "fit", str(path), "--level", "interval",
                                "--confint", "asymptotic", "--seed", "1")
         assert code == 3
@@ -365,15 +367,17 @@ class TestErrorPaths:
             assert err.startswith("error: data:") and err.count("\n") == 1
             assert "needs at least 2" in err
 
-    def test_bayes_on_constant_scores_finishes(self, capsys, tmp_path):
-        # sigma walks toward 0 (a wide log-sigma step gets there within the
-        # 1000 sweeps), where the sum of the log-densities overflows
+    def test_constant_scores_are_a_data_error(self, capsys, tmp_path):
+        # zero sample variance: the posterior is improper as sigma -> 0 and
+        # the ML objective has no maximum
         path = tmp_path / "const.csv"
         path.write_text("c.1.1,c.2.1\n" + "1.0,1.0\n" * 40, encoding="utf-8")
-        code, _, err = run_cli(capsys, "bayes", str(path), "--level", "interval",
-                               "--minit", "1000", "--maxit", "1000", "--sigma-2", "1",
-                               "--seed", "1")
-        assert code == 0, err
+        for command in ("bayes", "fit"):
+            code, out, err = run_cli(capsys, command, str(path), "--level", "interval",
+                                     "--seed", "1")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: data:") and err.count("\n") == 1
+            assert "zero sample variance" in err
 
 
 def _fuzz_inputs(root: Path) -> dict:

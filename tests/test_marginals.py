@@ -74,6 +74,9 @@ def test_initial_params_degenerate_variance():
         initial_params([2.0, 2.0, 2.0], "gamma")
     with pytest.raises(DegenerateDataError):
         initial_params([0.4, 0.4], "beta")
+    for fam in CONTINUOUS_FAMILIES:
+        with pytest.raises(DegenerateDataError, match="zero sample variance"):
+            initial_params([0.4, 0.4, 0.4], fam)  # a mean that rounds off 0.4
 
 
 def test_initial_params_single_category():

@@ -25,10 +25,11 @@ from copulagree import (
     prepare,
 )
 from copulagree.marginals import Categorical
-from copulagree.objectives import _gaussian_core, _probit, _weighted_fsum
-from copulagree.structure import materialize_block, pair_list
+from copulagree.objectives import _probit
+from copulagree.structure import pair_list, weighted_fsum
 
 from conftest import nominal_matrix
+from oracle import gaussian_core, materialize_block, ml_oracle, smp_oracle
 
 
 def pair_structure(n_units=1):
@@ -309,7 +310,7 @@ def dt_oracle(theta, model):
     if fam is None:
         return -np.inf
     z = _probit(fam.dt_cdf(model.y))
-    return _gaussian_core(model.structure, omega, z) + math.fsum(fam.logpdf(model.y))
+    return gaussian_core(model.structure, omega, z) + math.fsum(fam.logpdf(model.y))
 
 
 def close(value, expected, rounding=0.0):
@@ -340,6 +341,61 @@ def test_dt_tally_equals_per_unit_path_and_ignores_unit_order(case, rnd):
     assert loglik_dt(theta, cml_model(labels, grid[order], k)) == value
     if well_posed(model.structure, theta[: model.n_omega]):
         assert close(value, dt_oracle(theta, model))
+
+
+@st.composite
+def interval_layouts(draw):
+    """Interval scores under 1-2 methods, 1-3 coders, 1-2 replicates and an
+    optional gold column per method, with missing cells; each unit observes
+    at least two.  Also omega, a family and its (location, scale)."""
+    n_methods = draw(st.integers(1, 2))
+    n_coders = draw(st.integers(1, 3))
+    n_reps = draw(st.integers(1, 2))
+    gold = draw(st.booleans())
+    headers = []
+    for m in range(1, n_methods + 1):
+        headers += [f"g.m{m}"] * gold
+        headers += [f"m{m}.c.{c}.{r}" for c in range(1, n_coders + 1)
+                    for r in range(1, n_reps + 1)]
+    if len(headers) < 2:
+        return None
+    cell = st.one_of(st.floats(-4.0, 4.0), st.just(np.nan))
+    row = st.lists(cell, min_size=len(headers), max_size=len(headers))
+    grid = draw(st.lists(row.filter(lambda r: np.isfinite(r).sum() >= 2),
+                         min_size=1, max_size=12))
+    omega = draw(st.lists(st.floats(0.0, 0.95), min_size=11, max_size=11))
+    psi = [draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 3.0))]
+    family = draw(st.sampled_from(["gaussian", "laplace"]))
+    return parse_labels(headers).labels, np.array(grid), np.array(omega), family, psi
+
+
+def interval_objectives(labels, grid, family):
+    """The ML model and the standardized scores of SMP for one grid."""
+    sm = prepare(grid, labels, "interval")
+    s = build_structure(sm.labels, sm.observed)
+    y = sm.scores_flat()
+    return CopulaModel(s, family, y), _probit(empirical_cdf(y).cdf(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_layouts().filter(lambda case: case is not None), st.randoms())
+def test_moment_core_equals_per_unit_oracle_and_ignores_unit_order(case, rnd):
+    labels, grid, omega, family, psi = case
+    model, zhat = interval_objectives(labels, grid, family)
+    s = model.structure
+    omega = omega[: s.n_params]
+    theta = np.concatenate([omega, psi])
+    ml = loglik_ml(theta, model)
+    smp = loglik_smp(omega, s, zhat)
+    assert Objective("ml", model)(theta) == ml
+    assert Objective("smp", CopulaModel(s, "empirical", zhat))(omega) == smp
+    order = rnd.sample(range(len(grid)), len(grid))
+    model_p, zhat_p = interval_objectives(labels, grid[order], family)
+    assert loglik_ml(theta, model_p) == ml
+    assert loglik_smp(omega, model_p.structure, zhat_p) == smp
+    if well_posed(s, omega):
+        assert close(ml, ml_oracle(theta, model))
+        assert close(smp, smp_oracle(omega, s, zhat))
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,9 +436,9 @@ def test_weighted_fsum_is_the_exact_weighted_sum(terms):
     x = np.array([v for v, _ in terms], dtype=float)
     counts = np.array([c for _, c in terms], dtype=np.int64)
     # float(Fraction) and fsum both round the exact sum correctly
-    assert _weighted_fsum(x, counts) == float(sum(Fraction(v) * c for v, c in terms))
+    assert weighted_fsum(x, counts) == float(sum(Fraction(v) * c for v, c in terms))
     few = np.minimum(counts, 50)
-    assert _weighted_fsum(x, few) == math.fsum(np.repeat(x, few))
+    assert weighted_fsum(x, few) == math.fsum(np.repeat(x, few))
 
 
 class TestSmpObjective:

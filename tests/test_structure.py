@@ -9,11 +9,11 @@ from copulagree.structure import (
     ZERO,
     AgreementStructure,
     _pair_param_name,
-    materialize_block,
     simulate_latent,
 )
 
 from conftest import nominal_matrix
+from oracle import materialize_block, unit_logdet_quadform
 
 
 def labels_of(headers):
@@ -125,7 +125,7 @@ def test_logdet_quadform_identity_at_zero():
     s = build_structure(sm.labels, sm.observed)
     rng = np.random.default_rng(0)
     z = rng.normal(size=s.n)
-    logdet, quad = block_logdet_quadform(s, [0.0], z)
+    logdet, quad = unit_logdet_quadform(s, [0.0], z)
     assert logdet == 0.0
     assert quad == pytest.approx(z @ z, rel=1e-14)
 
@@ -137,7 +137,7 @@ def test_compound_symmetry_closed_form_logdet():
         s = build_structure(labs, np.ones((1, m), dtype=bool))
         for omega in rng.uniform(0.0, 0.95, size=8):
             z = rng.normal(size=m)
-            logdet, _ = block_logdet_quadform(s, [omega], z)
+            logdet, _ = unit_logdet_quadform(s, [omega], z)
             closed = (m - 1) * np.log(1 - omega) + np.log(1 + (m - 1) * omega)
             assert logdet == pytest.approx(closed, abs=1e-10)
 
@@ -150,7 +150,7 @@ def test_non_positive_definite_is_in_band():
     omega = np.array([0.0, 0.0, 0.99])
     dense = dense_omega(s, omega)
     assert np.linalg.eigvalsh(dense).min() < 0  # oracle: truly not PD
-    assert block_logdet_quadform(s, omega, np.zeros(s.n)) is None
+    assert block_logdet_quadform(s, omega, np.zeros(s.lookup.shape)) is None
 
 
 def test_blockwise_matches_dense_oracle():
@@ -159,7 +159,7 @@ def test_blockwise_matches_dense_oracle():
     rng = np.random.default_rng(2)
     for omega in rng.uniform(0.0, 0.95, size=10):
         z = rng.normal(size=s.n)
-        logdet, quad = block_logdet_quadform(s, [omega], z)
+        logdet, quad = unit_logdet_quadform(s, [omega], z)
         dense = dense_omega(s, [omega])
         sign, ref_logdet = np.linalg.slogdet(dense)
         assert sign == 1.0
@@ -180,8 +180,8 @@ def test_structure_invariant_to_column_order():
     z = z_grid[sm.observed]
     z_p = z_grid[:, perm][sm.observed[:, perm]]
     for omega in (0.2, 0.7):
-        assert block_logdet_quadform(s, [omega], z) == pytest.approx(
-            block_logdet_quadform(s_p, [omega], z_p), abs=1e-10
+        assert unit_logdet_quadform(s, [omega], z) == pytest.approx(
+            unit_logdet_quadform(s_p, [omega], z_p), abs=1e-10
         )
 
 
@@ -224,11 +224,22 @@ def test_simulate_latent_matches_target_correlation():
     assert z[:, 0].std() == pytest.approx(1.0, abs=0.05)
 
 
+def test_simulate_latent_draws_each_block_from_its_own_factor():
+    sm = nominal_matrix()
+    s = build_structure(sm.labels, sm.observed)
+    rng = np.random.default_rng(5)
+    expected = np.empty(s.n)
+    for code, idx in s.groups:
+        chol = np.linalg.cholesky(materialize_block(code, [0.6]))
+        expected[idx] = rng.standard_normal(idx.shape) @ chol.T
+    assert np.array_equal(simulate_latent(s, [0.6], np.random.default_rng(5)), expected)
+
+
 def test_omega_dimension_checked(nominal_data):
     s = build_structure(nominal_data.labels, nominal_data.observed)
     with pytest.raises(ValueError):
-        block_logdet_quadform(s, [0.1, 0.2], np.zeros(s.n))
-    assert block_logdet_quadform(s, [np.nan], np.zeros(s.n)) is None
+        block_logdet_quadform(s, [0.1, 0.2], np.zeros(s.lookup.shape))
+    assert block_logdet_quadform(s, [np.nan], np.zeros(s.lookup.shape)) is None
 
 
 @st.composite
@@ -288,7 +299,7 @@ def test_groups_match_per_unit_enumeration(case):
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.0, 0.9 / (mask.shape[1] - 1), size=s.n_params)
     z = rng.normal(size=s.n)
-    logdet, quad = block_logdet_quadform(s, omega, z)
+    logdet, quad = unit_logdet_quadform(s, omega, z)
     dense = dense_from_codes(expected_codes, omega)
     sign, ref_logdet = np.linalg.slogdet(dense)
     assert sign == 1.0
