@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -256,7 +257,7 @@ def _json_value(x):
         return {k: _json_value(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_json_value(v) for v in x]
-    if isinstance(x, float) and not np.isfinite(x):
+    if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
 
@@ -274,7 +275,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _floats(arr) -> list:
-    return [None if not np.isfinite(v) else float(v) for v in np.asarray(arr, dtype=float)]
+    return [v if math.isfinite(v) else None for v in np.asarray(arr, dtype=float).tolist()]
 
 
 def _read_seeded(args):

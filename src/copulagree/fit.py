@@ -27,14 +27,14 @@ from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
 from . import marginals
-from .errors import ConfigError, DataError, IntervalError, NumericalError
+from .errors import ConfigError, DataError, DegenerateDataError, IntervalError, NumericalError
 from .objectives import (
     CopulaModel,
     Objective,
     _probit,
     gradient,
     hessian,
-    stencil,
+    stencil_score,
 )
 from .scores import ScoreMatrix
 from .structure import build_structure, simulate_latent
@@ -108,9 +108,11 @@ def optimize_objective(objective, theta0, bounds, face_constraint=None) -> Optim
     """Maximize a log-objective under box constraints (limited-memory
     quasi-Newton); deterministic given the starting point.
 
-    Infeasible evaluations (-inf objectives) become a large penalty with a
-    zero gradient, and gradients next to the feasibility cliff fall back to
-    one-sided differences, so the line search is never poisoned by the jump.
+    Each point reads one ``(value, gradient)``: the objective's ``score``
+    when it has one (``Objective``), else ``stencil_score`` over every
+    coordinate, which falls back to one-sided differences next to the
+    feasibility cliff.  Infeasible evaluations (-inf objectives) become a
+    large penalty with the zero gradient.
 
     ``face_constraint = (start, budget)`` declares the derived-probability
     face sum(theta[start:]) <= budget of categorical models.  When the
@@ -118,37 +120,19 @@ def optimize_objective(objective, theta0, bounds, face_constraint=None) -> Optim
     a sequential quadratic fallback with the explicit linear constraint then
     finishes the job (still deterministic).
     """
-    theta0 = np.asarray(theta0, dtype=float).copy()
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            theta0[j] = max(theta0[j], lo + 1e-10)
-        if hi is not None:
-            theta0[j] = min(theta0[j], hi - 1e-10)
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds])
+    hi = np.array([np.inf if b is None else b for _, b in bounds])
+    theta0 = np.clip(np.asarray(theta0, dtype=float), lo + 1e-10, hi - 1e-10)
 
-    def neg(t):
-        v = objective(t)
-        return _BIG if not np.isfinite(v) else -v
+    score = getattr(objective, "score", None) or functools.partial(stencil_score, objective)
 
     def neg_with_grad(t):
-        f0 = neg(t)
-        if f0 >= _BIG:
-            return f0, np.zeros_like(t)
-        fp, fm, h = stencil(neg, t)
-        ok_p, ok_m = fp < _BIG, fm < _BIG
-        g = np.where(ok_p & ok_m, (fp - fm) / (2.0 * h),
-                     np.where(ok_p, (fp - f0) / h, np.where(ok_m, (f0 - fm) / h, 0.0)))
-        return f0, g
+        v, g = score(t)
+        return (-v, -g) if np.isfinite(v) else (_BIG, g)
 
     def kkt_violation(x, g):
-        worst = 0.0
-        for j, (lo, hi) in enumerate(bounds):
-            if lo is not None and x[j] <= lo + 1e-9:
-                worst = max(worst, max(0.0, -g[j]))
-            elif hi is not None and x[j] >= hi - 1e-9:
-                worst = max(worst, max(0.0, g[j]))
-            else:
-                worst = max(worst, abs(g[j]))
-        return worst
+        return np.nanmax(np.where(x <= lo + 1e-9, -g, np.where(x >= hi - 1e-9, g, np.abs(g))),
+                         initial=0.0)
 
     res = minimize(neg_with_grad, theta0, method="L-BFGS-B", jac=True, bounds=bounds)
     nit = int(res.nit)
@@ -200,6 +184,8 @@ def fit_point(structure, y, method, dist, n_categories, variant, eps):
     ``(model, opt, marginal)`` with the parametric marginal taken at the optimum.
     """
     if method == "smp":
+        if (y == y[0]).all():
+            raise DegenerateDataError("zero sample variance: every semiparametric score is tied")
         marginal = marginals.empirical_cdf(y, variant, eps)
         model = CopulaModel(structure, "empirical", _probit(marginal.cdf(y)))
     else:

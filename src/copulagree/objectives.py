@@ -12,12 +12,13 @@ per-unit path is kept in the tests, as its oracle).  ML forms S_g on each
 evaluation, in a canonical unit order (``CopulaModel.unit_order``).  SMP,
 CML and DT count what they need once per dataset: S_g of the fixed scores,
 each distinct pair cell (``cml_cells``), or category tallies (``dt_tally``).
-"""
+omega enters ML, DT and SMP only through the core, which gives its score in
+closed form (``grad``); ``Objective.score`` adds differences in psi."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -246,16 +247,10 @@ class CopulaModel:
 
 @dataclass(eq=False)
 class Objective:
-    """A log-objective of packed theta; kind in {ml, dt, cml, smp}.
-
-    CML, DT and SMP count what they need of the dataset once, here: the pair
-    cells of ``cml_cells``, the ``dt_tally``, or the standardized scores'
-    ``second_moments``.
-    """
+    """A log-objective of packed theta; kind in {ml, dt, cml, smp}."""
 
     kind: str
     model: CopulaModel
-    _counts: tuple | DtTally | np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         fam = self.model.family
@@ -267,29 +262,41 @@ class Objective:
             raise ValueError("smp objective requires empirically standardized scores")
         if self.kind not in ("ml", "dt", "cml", "smp"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "cml":
-            self._counts = cml_cells(self.model)
-        elif self.kind == "dt":
-            self._counts = dt_tally(self.model)
-        elif self.kind == "smp":
-            self._counts = second_moments(self.model.structure, self.model.y,
-                                          self.model.unit_order[0])
 
-    def __call__(self, theta) -> float:
-        if self.kind == "ml":
-            return loglik_ml(theta, self.model)
+    @cached_property
+    def counts(self):
+        """The ``cml_cells``, ``dt_tally`` or ``second_moments`` (SMP), built on first use."""
+        if self.kind == "cml":
+            return cml_cells(self.model)
         if self.kind == "dt":
-            return loglik_dt(theta, self.model, self._counts)
+            return dt_tally(self.model)
+        if self.kind == "smp":
+            return second_moments(self.model.structure, self.model.y, self.model.unit_order[0])
+
+    def __call__(self, theta, grad=None) -> float:
+        if self.kind == "ml":
+            return loglik_ml(theta, self.model, grad)
+        if self.kind == "dt":
+            return loglik_dt(theta, self.model, self.counts, grad)
         if self.kind == "cml":
-            return loglik_cml(theta, self.model, self._counts)
-        omega, _ = self.model.unpack(theta)
-        return loglik_smp(omega, self.model.structure, self.model.y, self._counts)
+            return loglik_cml(theta, self.model, self.counts)
+        return loglik_smp(theta, self.model.structure, self.model.y, self.counts, grad)
+
+    def score(self, theta) -> tuple[float, np.ndarray]:
+        """``(value, gradient)``: omega-part from the core, the rest from ``stencil_score``."""
+        if self.kind == "cml":
+            return stencil_score(self, theta)
+        omega_grad = np.zeros(self.model.n_omega)
+        value, g = stencil_score(self, theta, self(theta, omega_grad), omega_grad.size)
+        g[:omega_grad.size] = omega_grad if np.isfinite(value) else 0.0
+        return value, g
 
 
-def loglik_ml(theta, model: CopulaModel) -> float:
+def loglik_ml(theta, model: CopulaModel, grad=None) -> float:
     """Exact log-likelihood for a continuous marginal: the log-density plus
     the Gaussian core at z = probit(F(y)).  Every sum over scores runs in
-    ``model.unit_order``, so reordering units gives the same bits."""
+    ``model.unit_order``, so reordering units gives the same bits.  ``grad``
+    receives the omega-score when given (see ``block_logdet_quadform``)."""
     omega, _ = model.unpack(theta)
     fam = model.family_of(theta)
     if fam is None:
@@ -301,7 +308,7 @@ def loglik_ml(theta, model: CopulaModel) -> float:
         return -np.inf
     s = second_moments(model.structure, _probit(fam.cdf(model.y)), positions)
     sq = math.fsum(np.diagonal(s, axis1=1, axis2=2).ravel())
-    core = block_logdet_quadform(model.structure, omega, s, sq)
+    core = block_logdet_quadform(model.structure, omega, s, sq, grad)
     return -np.inf if core is None else core + logf
 
 
@@ -352,12 +359,12 @@ def dt_tally(model: CopulaModel) -> DtTally:
                    np.bincount(y, minlength=k))
 
 
-def loglik_dt(theta, model: CopulaModel, tally: DtTally | None = None) -> float:
+def loglik_dt(theta, model: CopulaModel, tally: DtTally | None = None, grad=None) -> float:
     """Distributional-transform approximation: the categorical log-mass plus
     the Gaussian core at the probits of the jump midpoints, from ``tally``
     (``dt_tally(model)`` when not given).  The log-mass and sum of squares
     are exactly rounded count-weighted sums over the K categories and S_g is
-    one weighted ``bincount``, so reordering units gives the same bits.
+    one weighted ``bincount``, so reordering units gives the same bits.  ``grad`` as for ML.
     """
     omega, _ = model.unpack(theta)
     fam = model.family_of(theta)
@@ -372,7 +379,7 @@ def loglik_dt(theta, model: CopulaModel, tally: DtTally | None = None) -> float:
     lookup = model.structure.lookup
     s = np.bincount(tally.cell, tally.count * np.outer(t, t).ravel()[tally.pair],
                     minlength=lookup.size).reshape(lookup.shape)
-    core = block_logdet_quadform(model.structure, omega, s, sq)
+    core = block_logdet_quadform(model.structure, omega, s, sq, grad)
     return -np.inf if core is None else core + logf
 
 
@@ -427,23 +434,40 @@ def loglik_cml(theta, model: CopulaModel, cells=None) -> float:
     return weighted_fsum(np.log(rect), counts)
 
 
-def loglik_smp(omega, structure: AgreementStructure, zhat, moments=None) -> float:
+def loglik_smp(omega, structure: AgreementStructure, zhat, moments=None, grad=None) -> float:
     """Copula-only objective for pre-standardized scores (no -I correction),
-    from the ``second_moments`` of zhat (formed here when not given)."""
+    from the ``second_moments`` of zhat (formed here when not given); ``grad`` as for ML."""
     if moments is None:
         moments = second_moments(structure, zhat, sorted_positions(structure, zhat))
-    core = block_logdet_quadform(structure, omega, moments)
+    core = block_logdet_quadform(structure, omega, moments, grad=grad)
     return -np.inf if core is None else core
 
 
-def stencil(fn, theta):
-    """``fn`` at theta +- h e_j for every coordinate j, with the central-difference
+def stencil(fn, theta, start=0):
+    """``fn`` at theta +- h e_j for every coordinate j >= ``start``, with the
     step h = cbrt(eps) * max(1, |theta_j|); returns ``(fp, fm, h)`` as arrays."""
     theta = np.asarray(theta, dtype=float)
     h = _CBRT_EPS * np.maximum(1.0, np.abs(theta))
-    steps = np.diag(h)
+    steps = np.diag(h)[start:]
     return (np.array([fn(theta + e) for e in steps], dtype=float),
-            np.array([fn(theta - e) for e in steps], dtype=float), h)
+            np.array([fn(theta - e) for e in steps], dtype=float), h[start:])
+
+
+def stencil_score(fn, theta, f0=None, start=0) -> tuple[float, np.ndarray]:
+    """``(f0, g)``: ``fn`` at theta (``f0`` when given) and its gradient on
+    the ``stencil`` points from ``start`` on (zeros before).  Next to the
+    feasibility cliff a difference is one-sided, or zero with no finite side,
+    so a line search is never poisoned by the jump; a non-finite f0 gives 0."""
+    theta = np.asarray(theta, dtype=float)
+    f0 = fn(theta) if f0 is None else f0
+    g = np.zeros(theta.size)
+    if np.isfinite(f0):
+        fp, fm, h = stencil(fn, theta, start)
+        ok_p, ok_m = np.isfinite(fp), np.isfinite(fm)
+        with np.errstate(invalid="ignore"):  # -inf - -inf in the branches not taken
+            g[start:] = np.where(ok_p & ok_m, (fp - fm) / (2.0 * h), np.where(
+                ok_p, (fp - f0) / h, np.where(ok_m, (f0 - fm) / h, 0.0)))
+    return f0, g
 
 
 def gradient(fn, theta) -> np.ndarray:

@@ -15,10 +15,12 @@ score replicate.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -208,7 +210,7 @@ def prepare(values, labels, level: str, n_categories: int | None = None) -> Scor
     mask.flags.writeable = False
     return ScoreMatrix(
         vals, mask, labels, level,
-        tuple(int(i) for i in retained), arr.shape[0], n_categories,
+        tuple(retained.tolist()), arr.shape[0], n_categories,
     )
 
 
@@ -238,23 +240,32 @@ def read_score_csv(source, level: str, n_categories: int | None = None) -> Score
     if not check.success:
         cols = " ".join(str(c) for c in check.bad_columns)
         raise DataError(f"column labels failed check: cols {cols}")
-    grid = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(check.labels):
-            raise DataError(f"row {r} has {len(row)} cells, expected {len(check.labels)}")
-        parsed = []
-        for c, cell in enumerate(row, start=1):
-            cell = cell.strip()
-            if cell == "" or cell == "NA":
-                parsed.append(np.nan)
-                continue
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise DataError(f"row {r}, column {c}: cannot parse {cell!r} as a score")
-        grid.append(parsed)
-    if not grid:
-        raise DataError("CSV has a header but no data rows")
+    body, width = rows[1:], len(check.labels)
+    grid = None
+    if set(map(len, body)) == {width}:
+        # one pass; float() strips whitespace as str.strip() does (" NA" fails)
+        cells = [*chain.from_iterable(body)]
+        with contextlib.suppress(ValueError):
+            grid = np.array([*map(float, map({"": "nan", "NA": "nan"}.get, cells, cells))])
+            grid = grid.reshape(-1, width)
+    if grid is None:  # cell by cell, to name the first row and column that do not parse
+        grid = []
+        for r, row in enumerate(body, start=2):
+            if len(row) != width:
+                raise DataError(f"row {r} has {len(row)} cells, expected {width}")
+            parsed = []
+            for c, cell in enumerate(row, start=1):
+                cell = cell.strip()
+                if cell == "" or cell == "NA":
+                    parsed.append(np.nan)
+                    continue
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise DataError(f"row {r}, column {c}: cannot parse {cell!r} as a score")
+            grid.append(parsed)
+        if not grid:
+            raise DataError("CSV has a header but no data rows")
     return prepare(np.asarray(grid), check.labels, level, n_categories)
 
 

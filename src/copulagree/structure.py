@@ -197,13 +197,15 @@ def build_structure(labels, observed: np.ndarray) -> AgreementStructure:
     return AgreementStructure(tuple(param_names), groups, int(sizes.sum()))
 
 
-def block_logdet_quadform(structure: AgreementStructure, omega, s, sq=0.0):
+def block_logdet_quadform(structure: AgreementStructure, omega, s, sq=0.0, grad=None):
     """The Gaussian core -(sum_g n_g log|Omega_g| + <Omega_g^{-1}, S_g> - sq)/2.
 
     ``s`` is the (G, M, M) stack of ``second_moments``; ``sq`` the sum of
     squares of the -I correction.  Returns None when some block is not
     positive definite (an in-band result callers map to an infinite
     objective).  Sums across blocks are exact, so group order does not matter.
+    A given ``grad`` receives the omega-score -1/2 sum_g <n_g A_g - A_g S_g A_g,
+    E_gk> (A_g = Omega_g^{-1}, E_gk marks parameter k in block g) when PD.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.shape != (structure.n_params,):
@@ -215,9 +217,14 @@ def block_logdet_quadform(structure: AgreementStructure, omega, s, sq=0.0):
     except np.linalg.LinAlgError:
         return None
     inv_chol = np.linalg.inv(chol)
-    quad = math.fsum((inv_chol.mT @ inv_chol * s).sum(axis=(1, 2)))
+    a = inv_chol.mT @ inv_chol
+    quad = math.fsum((a * s).sum(axis=(1, 2)))
     log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     logdet = 2.0 * weighted_fsum(log_diag, structure.n_group)
+    if grad is not None:  # s holds upper triangles, so S_g = (s + s')/2
+        d = structure.n_group[:, None, None] * a - a @ (0.5 * (s + s.mT)) @ a
+        free = structure.lookup >= 0
+        grad[:] = -0.5 * np.bincount(structure.lookup[free], d[free], minlength=omega.size)
     return -0.5 * logdet - 0.5 * (quad - sq)
 
 

@@ -379,6 +379,17 @@ class TestErrorPaths:
             assert err.startswith("error: data:") and err.count("\n") == 1
             assert "zero sample variance" in err
 
+    def test_constant_scores_under_smp_are_a_data_error(self, capsys, tmp_path):
+        # every ECDF score is tied, so the copula-only objective grows
+        # toward the upper bound of omega instead of having a maximum
+        path = tmp_path / "const.csv"
+        path.write_text("c.1.1,c.2.1\n" + "1.0,1.0\n" * 40, encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", str(path), "--level", "interval",
+                                 "--method", "smp", "--confint", "none", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: data:") and err.count("\n") == 1
+        assert "zero sample variance" in err
+
 
 def _fuzz_inputs(root: Path) -> dict:
     """Small input files for the fuzz test, each with the level it was made for."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from copulagree import (
     CopulaModel,
@@ -24,8 +24,8 @@ from copulagree import (
     parse_labels,
     prepare,
 )
-from copulagree.marginals import Categorical
-from copulagree.objectives import _probit
+from copulagree.marginals import DELTA_P, Categorical
+from copulagree.objectives import _probit, stencil
 from copulagree.structure import pair_list, weighted_fsum
 
 from conftest import nominal_matrix
@@ -247,7 +247,7 @@ class TestCmlObjective:
         s = build_structure(nominal_data.labels, nominal_data.observed)
         model = CopulaModel(s, "categorical", nominal_data.scores_flat(), 5)
         obj = Objective("cml", model)
-        assert obj._counts[3].sum() == len(pair_list(s))
+        assert obj.counts[3].sum() == len(pair_list(s))
 
 
 @st.composite
@@ -396,6 +396,124 @@ def test_moment_core_equals_per_unit_oracle_and_ignores_unit_order(case, rnd):
     if well_posed(s, omega):
         assert close(ml, ml_oracle(theta, model))
         assert close(smp, smp_oracle(omega, s, zhat))
+
+
+# each continuous family's support, reached from a score x in [-4, 4], and
+# a feasible psi from a (location, scale) pair
+FAMILY_CASES = {
+    "gaussian": (lambda x: x, lambda loc, sc: [loc, sc]),
+    "laplace": (lambda x: x, lambda loc, sc: [loc, sc]),
+    "t": (lambda x: x, lambda loc, sc: [sc + 1.0, loc]),
+    "gamma": (lambda x: np.exp(x / 2.0), lambda loc, sc: [sc + 0.5, sc]),
+    "beta": (lambda x: ndtr(x / 2.0), lambda loc, sc: [sc + 0.5, 3.5 - sc]),
+    "kumaraswamy": (lambda x: ndtr(x / 2.0), lambda loc, sc: [sc + 0.5, 3.5 - sc]),
+}
+
+
+def omega_score_error(obj, theta):
+    """The largest gap between the omega-part of ``obj.score`` and central
+    differences (``gradient``), relative to max(1, |difference|); None when
+    the value is not finite.  The score's value is the objective's.
+    Callers keep every block's eigenvalues 0.1 from zero: the differences'
+    own error grows like 1/eigenvalue^3 near a singular block."""
+    value, g = obj.score(theta)
+    assert value == obj(theta)
+    if not np.isfinite(value):
+        assert (g == 0.0).all()
+        return None
+    q = obj.model.n_omega
+    fd = gradient(obj, theta)[:q]
+    return np.max(np.abs(g[:q] - fd) / np.maximum(1.0, np.abs(fd)), initial=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_layouts().filter(lambda case: case is not None),
+       st.sampled_from(sorted(FAMILY_CASES)))
+def test_omega_score_matches_central_differences_for_ml_and_smp(case, family):
+    labels, grid, omega, _, (loc, scale) = case
+    to_support, make_psi = FAMILY_CASES[family]
+    model, zhat = interval_objectives(labels, grid, family)
+    model = CopulaModel(model.structure, family, to_support(model.y))
+    omega = omega[: model.n_omega]
+    if not well_posed(model.structure, omega, margin=0.1):
+        return
+    for obj, theta in ((Objective("ml", model), np.concatenate([omega, make_psi(loc, scale)])),
+                       (Objective("smp", CopulaModel(model.structure, "empirical", zhat)), omega)):
+        error = omega_score_error(obj, theta)
+        assert error is None or error <= 1e-6
+
+
+@settings(max_examples=150, deadline=None)
+@given(nominal_layouts().filter(lambda case: case is not None))
+def test_omega_score_matches_central_differences_for_dt(case):
+    labels, grid, k, omega, p = case
+    model = cml_model(labels, grid, k)
+    omega = np.asarray(omega[: model.n_omega])
+    if not well_posed(model.structure, omega, margin=0.1):
+        return
+    error = omega_score_error(Objective("dt", model), np.concatenate([omega, p[:-1]]))
+    assert error is None or error <= 1e-6
+
+
+def stencil_optimizer_gradient(objective, t, big=1e10):
+    """The optimizer's gradient before the omega-score: central differences
+    of the negated objective over every coordinate, with the penalty ``big``
+    for -inf and one-sided differences next to the feasibility cliff."""
+    def neg(x):
+        v = objective(x)
+        return big if not np.isfinite(v) else -v
+
+    f0 = neg(t)
+    if f0 >= big:
+        return f0, np.zeros_like(t)
+    fp, fm, h = stencil(neg, t)
+    ok_p, ok_m = fp < big, fm < big
+    g = np.where(ok_p & ok_m, (fp - fm) / (2.0 * h),
+                 np.where(ok_p, (fp - f0) / h, np.where(ok_m, (f0 - fm) / h, 0.0)))
+    return f0, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(nominal_layouts().filter(lambda case: case is not None),
+       st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+def test_cml_score_is_the_stencil_bit_for_bit(case, gap):
+    # a non-zero ``gap`` puts p_K that far above the probability floor;
+    # below the step h (about 6e-6) the + points of psi cross the
+    # feasibility cliff and take the one-sided branch
+    labels, grid, k, omega, p = case
+    model = cml_model(labels, grid, k)
+    psi = p[:-1] * (1.0 - DELTA_P - gap) / p[:-1].sum() if gap else p[:-1]
+    theta = np.concatenate([omega[: model.n_omega], psi])
+    obj = Objective("cml", model)
+    value, g = obj.score(theta)
+    f0, expected = stencil_optimizer_gradient(obj, theta)
+    if np.isfinite(value):
+        assert -value == f0
+        assert np.array_equal(-g, expected)
+    else:
+        assert f0 == 1e10 and (g == 0.0).all() and (expected == 0.0).all()
+
+
+def test_minus_inf_point_has_the_zero_score():
+    headers = ["m1.c.1.1", "m1.c.2.1", "m2.c.1.1", "m2.c.2.1"]
+    labs = parse_labels(headers).labels
+    sm = prepare(np.array([[1.0, 2.0, 2.0, 1.0]] * 3), labs, "nominal")
+    s = build_structure(sm.labels, sm.observed)
+    bad_omega = np.array([0.0, 0.0, 0.99])  # between 0.99 with no intra: not PD
+    cat = CopulaModel(s, "categorical", sm.scores_flat(), 2)
+    cont = CopulaModel(s, "gaussian", sm.scores_flat())
+    cases = [
+        (Objective("dt", cat), np.concatenate([bad_omega, [0.5]])),
+        (Objective("dt", cat), np.array([0.1, 0.1, 0.1, 1.5])),  # p_K < 0
+        (Objective("cml", cat), np.concatenate([bad_omega, [1.5]])),
+        (Objective("ml", cont), np.concatenate([bad_omega, [0.0, 1.0]])),
+        (Objective("ml", cont), np.array([0.1, 0.1, 0.1, 0.0, -1.0])),  # sigma < 0
+        (Objective("smp", CopulaModel(s, "empirical", np.zeros(s.n))), bad_omega),
+    ]
+    for obj, theta in cases:
+        value, g = obj.score(theta)
+        assert value == -np.inf
+        assert g.shape == theta.shape and (g == 0.0).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,14 @@
+import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copulagree import ColumnLabel, DataError, LevelError, parse_labels, prepare, read_score_csv
+from copulagree import scores
 from copulagree.scores import embed_original, format_score_csv
 
 from conftest import FOUR_CODERS, NOMINAL_GRID
@@ -166,6 +171,62 @@ def test_read_score_csv_rejects_bad_headers_and_cells():
     # lowercase na is not a missing marker
     with pytest.raises(DataError):
         read_score_csv(io.StringIO("c.1.1,c.2.1\n1,na\n"), "nominal")
+
+
+CELLS = st.one_of(
+    st.sampled_from(["", " ", "NA", " NA ", "\tNA", "na", "nan", " NaN", "-nan", "inf", "-inf",
+                     "1e400", "1_000", "1__0", "_1", "1_", "x", "\t2.5 ", "\x0b7\u3000", "+3",
+                     "-0", "\u0661"]),
+    st.floats().map(repr),
+    st.integers(-9, 9).map(str),
+    st.text(alphabet=" \t\xa0_.-+0123456789eNAnif", max_size=6),
+)
+
+
+def parse_cell_by_cell(rows, width):
+    """The grid of CSV body ``rows`` parsed one stripped cell at a time, or
+    the DataError text that names the first row and column that fail."""
+    grid = []
+    for r, row in enumerate(rows, start=2):
+        if len(row) != width:
+            return f"row {r} has {len(row)} cells, expected {width}"
+        parsed = []
+        for c, cell in enumerate(row, start=1):
+            cell = cell.strip()
+            if cell == "" or cell == "NA":
+                parsed.append(np.nan)
+                continue
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                return f"row {r}, column {c}: cannot parse {cell!r} as a score"
+        grid.append(parsed)
+    return np.asarray(grid) if grid else "CSV has a header but no data rows"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda width: st.tuples(
+    st.just(width),
+    st.lists(st.lists(CELLS, min_size=width, max_size=width)
+             | st.lists(CELLS, min_size=1, max_size=width + 1), max_size=6))))
+def test_read_score_csv_parses_as_the_cell_loop(case):
+    # the one-pass parse must give the per-cell loop's grid, NaN mask and
+    # error text
+    width, body = case
+    header = ",".join(f"c.{j}.1" for j in range(1, width + 1))
+    text = "\n".join([header] + [",".join(row) for row in body]) + "\n"
+    with mock.patch.object(scores, "prepare", lambda grid, *args: grid):
+        try:
+            fast = read_score_csv(io.StringIO(text), "interval")
+        except DataError as exc:
+            fast = str(exc)
+    loop = parse_cell_by_cell(list(csv.reader(io.StringIO(text)))[1:], width)
+    if isinstance(loop, str):
+        assert fast == loop
+    else:
+        assert fast.shape == loop.shape
+        assert np.array_equal(np.isnan(fast), np.isnan(loop))
+        assert np.array_equal(fast, loop, equal_nan=True)
 
 
 def test_format_score_csv_round_trip(nominal_data):
