@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .bayes import (
     PosteriorResult,
     SamplerControl,
-    dic,
     fixed_width_check,
     mcse,
     sample_posterior,
@@ -105,7 +104,6 @@ __all__ = [
     "bivariate_normal_cdf",
     "block_logdet_quadform",
     "build_structure",
-    "dic",
     "embed_original",
     "empirical_cdf",
     "fit_agreement",

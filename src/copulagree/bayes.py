@@ -120,19 +120,6 @@ def fixed_width_check(means, mcses, tol: float) -> bool:
     return bool((cv < tol).all())
 
 
-def dic(samples, loglik) -> float:
-    """Deviance information criterion with the posterior-mean plug-in:
-    D(theta) = -2 log L; DIC = 2 * mean(D) - D(theta-bar)."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    d_draws = np.array([-2.0 * loglik(s) for s in samples])
-    if not np.isfinite(d_draws).all():
-        raise NumericalError("non-finite deviance along the chain")
-    d_hat = -2.0 * loglik(samples.mean(axis=0))
-    if not np.isfinite(d_hat):
-        raise NumericalError("non-finite deviance at the posterior mean")
-    return float(2.0 * d_draws.mean() - d_hat)
-
-
 _GAMMA_A = 0.01
 _GAMMA_B = 0.01
 _MU_SD = 1000.0

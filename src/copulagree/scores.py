@@ -139,11 +139,6 @@ class ScoreMatrix:
         """Observed scores in row-major (unit, column) order."""
         return self.values[self.observed]
 
-    def grid_with_nan(self) -> np.ndarray:
-        """Retained grid with NaN at unobserved cells (boundary representation)."""
-        out = np.where(self.observed, self.values, np.nan)
-        return out
-
     def with_scores_flat(self, flat: np.ndarray) -> "ScoreMatrix":
         """Same shape and mask, observed cells replaced by ``flat`` (row-major)."""
         flat = np.asarray(flat, dtype=float)

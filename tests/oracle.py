@@ -1,16 +1,20 @@
-"""The per-unit Gaussian core, kept as a test oracle.
+"""Direct evaluations kept as test oracles.
 
 The library evaluates the copula core from each pattern group's second
 moment S_g in one stacked Cholesky call (``structure.block_logdet_quadform``).
 This module evaluates it the direct way: each group's block is built on its
 own, factored, and every unit's scores are forward-solved against it, so it
 shares no code with that path beyond the structure itself.
+
+``dic`` computes DIC by evaluating the likelihood again at every draw; the
+sampler computes it from the log-likelihoods stored along the chain.
 """
 
 import math
 
 import numpy as np
 
+from copulagree.errors import NumericalError
 from copulagree.objectives import _probit
 from copulagree.structure import DIAG, ZERO
 
@@ -92,3 +96,16 @@ def smp_oracle(omega, structure, zhat):
         return -np.inf
     logdet, quad = ld
     return -0.5 * logdet - 0.5 * quad
+
+
+def dic(samples, loglik) -> float:
+    """Deviance information criterion with the posterior-mean plug-in:
+    D(theta) = -2 log L; DIC = 2 * mean(D) - D(theta-bar)."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    d_draws = np.array([-2.0 * loglik(s) for s in samples])
+    if not np.isfinite(d_draws).all():
+        raise NumericalError("non-finite deviance along the chain")
+    d_hat = -2.0 * loglik(samples.mean(axis=0))
+    if not np.isfinite(d_hat):
+        raise NumericalError("non-finite deviance at the posterior mean")
+    return float(2.0 * d_draws.mean() - d_hat)

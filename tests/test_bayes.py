@@ -11,7 +11,6 @@ from copulagree import (
     PosteriorResult,
     SamplerControl,
     build_structure,
-    dic,
     fixed_width_check,
     mcse,
     parse_labels,
@@ -23,6 +22,7 @@ from copulagree.bayes import run_chain, _log_prior_mu, _log_prior_positive
 from copulagree.marginals import CONTINUOUS_FAMILIES, make_family
 
 from conftest import make_pair_data
+from oracle import dic
 
 
 def laplace_pairs(n_units=300, omega=0.8, mu=26.5, sigma=4.7, seed=77):
@@ -237,7 +237,7 @@ class TestDic:
 
     def test_matches_posterior_result(self):
         # the sampler's cached per-draw deviances must agree with evaluating
-        # the likelihood again through the public dic() helper
+        # the likelihood again through the oracle's dic()
         data = laplace_pairs(n_units=80)
         ctrl = SamplerControl(dist="laplace", minit=1000, maxit=1000)
         post = sample_posterior(data, ctrl, seed=9)

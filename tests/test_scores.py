@@ -110,7 +110,8 @@ def test_prepare_errors():
 
 
 def test_prepare_is_idempotent(nominal_data):
-    again = prepare(nominal_data.grid_with_nan(), nominal_data.labels, "nominal")
+    grid = np.where(nominal_data.observed, nominal_data.values, np.nan)
+    again = prepare(grid, nominal_data.labels, "nominal")
     assert again.n_units == nominal_data.n_units
     assert np.array_equal(again.observed, nominal_data.observed)
     assert np.array_equal(again.scores_flat(), nominal_data.scores_flat())
