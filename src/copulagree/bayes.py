@@ -218,8 +218,8 @@ def sample_posterior(data: ScoreMatrix, control: SamplerControl | None = None,
     The chain targets the copula likelihood times independent noninformative
     priors: standard uniform on each agreement parameter, Gamma(0.01, 0.01)
     on positive marginal parameters, N(0, 1000^2) on locations.  It starts at
-    the data-driven values used for optimization (omega at 0.5) and stops by
-    the fixed-width rule, checked every ``minit`` draws.
+    the optimizer's start, ``CopulaModel.initial_theta``, and stops by the
+    fixed-width rule, checked every ``minit`` draws.
     """
     control = control or SamplerControl()
     if data.level not in ("interval", "ratio"):
@@ -234,7 +234,7 @@ def sample_posterior(data: ScoreMatrix, control: SamplerControl | None = None,
     def loglik(omega, psi):
         return objective(np.concatenate([omega, psi]))
 
-    psi0 = marginals.initial_params(model.y, control.dist)
+    omega0, psi0 = model.unpack(model.initial_theta())
     # location: plain walk, normal prior; positive: log-normal step, gamma prior
     updates = [
         (nm, "walk", sigma, _log_prior_mu) if nm == marginals.LOCATION
@@ -244,7 +244,7 @@ def sample_posterior(data: ScoreMatrix, control: SamplerControl | None = None,
     ]
 
     samples, lls, counts, taken, converged = run_chain(
-        loglik, structure.param_names, updates, np.full(m, 0.5), psi0, control, seed
+        loglik, structure.param_names, updates, omega0, psi0, control, seed
     )
 
     means = samples.mean(axis=0)
@@ -263,9 +263,8 @@ def sample_posterior(data: ScoreMatrix, control: SamplerControl | None = None,
     for nm, *_rest in updates:
         accept[nm] = counts[nm] / taken
 
-    names = structure.param_names + marginals.family_param_names(control.dist)
     return PosteriorResult(
-        samples=samples, param_names=names, means=means, lower=lower, upper=upper,
+        samples=samples, param_names=model.param_names(), means=means, lower=lower, upper=upper,
         mcse_values=ses, accept=accept, dic=dic_value, draws_taken=taken,
         converged=converged, control=control, loglik_draws=lls,
     )

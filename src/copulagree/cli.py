@@ -198,6 +198,9 @@ def _render_text(report: dict) -> str:
             "Convergence:\n\nOptimization %s at %s after %d iterations."
             % (word, _fmt(conv["objective"]), conv["iterations"])
         )
+        if not conv["converged"] and report.get("coefficients", {}).get("lower") is not None:
+            parts.append("Warning: intervals were computed at a point that did not meet "
+                         "the stopping rule.")
     if cmd == "bayes":
         parts.append(f"Number of posterior samples: {report['draws']}")
         if not report["converged"]:
@@ -262,14 +265,21 @@ def _json_value(x):
     return x
 
 
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path!r}: {exc.strerror or exc}")
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(_json_value(report), indent=2, allow_nan=False) + "\n"
     else:
         text = _render_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _unwritable(args.output, exc)
     else:
         sys.stdout.write(text)
 
@@ -346,20 +356,17 @@ def _run_fit(args, call: str) -> dict:
 
 def _run_bayes(args, call: str) -> dict:
     data, seed = _read_seeded(args)
-    sigma_omega = args.sigma_omega
-    if sigma_omega is None:
-        sigma_omega = 0.1
-    elif len(sigma_omega) == 1:
-        sigma_omega = sigma_omega[0]
-    else:
-        sigma_omega = tuple(sigma_omega)
     control = SamplerControl(
         dist=args.dist, minit=args.minit, maxit=args.maxit, tol=args.tol,
-        sigma_1=args.sigma_1, sigma_2=args.sigma_2, sigma_omega=sigma_omega,
+        sigma_1=args.sigma_1, sigma_2=args.sigma_2,
+        sigma_omega=0.1 if args.sigma_omega is None else tuple(args.sigma_omega),
     )
     post = sample_posterior(data, control, seed=seed)
     if args.dump_draws:
-        post.save_draws(args.dump_draws)
+        try:
+            post.save_draws(args.dump_draws)
+        except OSError as exc:
+            raise _unwritable(args.dump_draws, exc)
     return {
         "command": "bayes",
         "call": call,

@@ -93,11 +93,11 @@ def _refit_without(fit: FitResult, drop_unit: int | None = None,
         labels = [labels[j] for j in cols]
     data = prepare(grid, labels, fit.data.level, fit.data.n_categories)
     structure = build_structure(data.labels, data.observed)
-    model, opt, _ = fit_point(structure, data.scores_flat(), fit.method, fit.family,
-                              data.n_categories, fit.smp_variant, fit.smp_eps)
-    if not opt.converged:
+    refit = fit_point(structure, data.scores_flat(), fit.method, fit.family,
+                      data.n_categories, fit.smp_variant, fit.smp_eps)
+    if not refit.converged:
         raise DataError("refit did not converge")
-    estimates = dict(zip(model.param_names(), model.expand(opt.theta)))
+    estimates = dict(zip(refit.param_names, refit.estimates))
     # with one score left per coder the refit names its inter-coder parameter
     # plain ``inter``; it is the full fit's single-method ``inter.m<method>``
     method_inter = f"inter.m{data.labels[0].method}"

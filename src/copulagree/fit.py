@@ -130,31 +130,27 @@ def optimize_objective(objective, theta0, bounds, face_constraint=None) -> Optim
         v, g = score(t)
         return (-v, -g) if np.isfinite(v) else (_BIG, g)
 
-    def kkt_violation(x, g):
-        return np.nanmax(np.where(x <= lo + 1e-9, -g, np.where(x >= hi - 1e-9, g, np.abs(g))),
-                         initial=0.0)
-
     res = minimize(neg_with_grad, theta0, method="L-BFGS-B", jac=True, bounds=bounds)
     nit = int(res.nit)
     stationary = False
-    for _ in range(3):
-        # the line search can stall and report convergence early; restart
-        # with fresh curvature memory until first-order conditions hold
+    # the line search can stall and report convergence early; restart up to
+    # three times with fresh curvature memory until first-order conditions hold
+    for restart in range(4):
         if not np.isfinite(res.fun) or res.fun >= _BIG:
             break
-        f, g = neg_with_grad(res.x)
-        if kkt_violation(res.x, g) < 1e-4 * max(1.0, abs(f)):
-            stationary = True
+        x = res.x
+        f, g = neg_with_grad(x)
+        # the largest violation of the first-order conditions in the box
+        kkt = np.nanmax(np.where(x <= lo + 1e-9, -g, np.where(x >= hi - 1e-9, g, np.abs(g))),
+                        initial=0.0)
+        stationary = kkt < 1e-4 * max(1.0, abs(f))
+        if stationary or restart == 3:
             break
-        res2 = minimize(neg_with_grad, res.x, method="L-BFGS-B", jac=True, bounds=bounds)
+        res2 = minimize(neg_with_grad, x, method="L-BFGS-B", jac=True, bounds=bounds)
         nit += int(res2.nit)
-        if res2.fun <= res.fun:
-            res = res2
-        else:
+        if not res2.fun <= res.fun:
             break
-    else:
-        f, g = neg_with_grad(res.x)
-        stationary = kkt_violation(res.x, g) < 1e-4 * max(1.0, abs(f))
+        res = res2
 
     value = float(objective(res.x))
     converged = bool(res.success and np.isfinite(value) and stationary)
@@ -175,53 +171,29 @@ def optimize_objective(objective, theta0, bounds, face_constraint=None) -> Optim
     return best
 
 
-def fit_point(structure, y, method, dist, n_categories, variant, eps):
-    """Build the model for flat scores ``y`` and maximize its objective.
-
-    The semiparametric method standardizes ``y`` through its ECDF (``variant``
-    and ``eps`` as in ``marginals.empirical_cdf``) and its marginal is that
-    ECDF; every other method fits the ``dist`` marginal jointly.  Returns
-    ``(model, opt, marginal)`` with the parametric marginal taken at the optimum.
-    """
-    if method == "smp":
-        if (y == y[0]).all():
-            raise DegenerateDataError("zero sample variance: every semiparametric score is tied")
-        marginal = marginals.empirical_cdf(y, variant, eps)
-        model = CopulaModel(structure, "empirical", _probit(marginal.cdf(y)))
-    else:
-        model = CopulaModel(structure, dist, y, n_categories)
-    opt = optimize_objective(Objective(method, model), model.initial_theta(),
-                             model.bounds(), model.face_constraint())
-    if method != "smp":
-        marginal = model.family_of(opt.theta)
-    return model, opt, marginal
-
-
-def simulate_flat(structure, omega, family, rng) -> np.ndarray:
-    """One dataset from the fitted copula: Z ~ N(0, Omega), U = Phi(Z), Y = F^{-1}(U)."""
-    if family is None:
-        raise NumericalError("the fitted marginal is infeasible; there is nothing to simulate")
-    z = simulate_latent(structure, omega, rng)
-    return np.asarray(family.quantile(ndtr(z)), dtype=float)
-
-
 @dataclass(eq=False)
 class FitResult:
     """A fitted agreement model with optional interval estimates.
 
     ``theta`` is the packed internal vector; ``estimates`` expands it to the
     reported parameters (the derived p_K included for categorical marginals).
-    Interval bounds are unclamped Wald bounds and may leave [0, 1].
+    ``family_obj`` is the fitted marginal, and ``smp_variant``/``smp_eps``
+    the ECDF of a semiparametric fit.  ``fit_agreement`` adds the data, the
+    seed and the intervals.  Interval bounds are unclamped Wald bounds and
+    may leave [0, 1].
     """
 
     method: str
     model: CopulaModel
-    data: ScoreMatrix | None
     theta: np.ndarray
     objective: float
     iterations: int
     converged: bool
     family_obj: object = None
+    smp_variant: str | None = None
+    smp_eps: float | None = None
+    data: ScoreMatrix | None = None
+    seed: int | None = None
     interval_kind: str = "none"
     conf_level: float = 0.95
     lower: np.ndarray | None = None
@@ -233,9 +205,6 @@ class FitResult:
     boot_dropped: int = 0
     boot_warning: bool = False
     boot_interval: str | None = None
-    seed: int | None = None
-    smp_variant: str | None = None
-    smp_eps: float | None = None
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -250,12 +219,39 @@ class FitResult:
         return self.model.family
 
     @property
-    def level(self) -> str:
-        return self.data.level if self.data is not None else "interval"
-
-    @property
     def n_scores(self) -> int:
         return self.model.structure.n
+
+
+def fit_point(structure, y, method, dist, n_categories, variant, eps) -> FitResult:
+    """Build the model for flat scores ``y`` and maximize its objective.
+
+    The semiparametric method standardizes ``y`` through its ECDF (``variant``
+    and ``eps`` as in ``marginals.empirical_cdf``) and its marginal is that
+    ECDF; every other method fits the ``dist`` marginal jointly, and its
+    marginal is taken at the optimum.
+    """
+    if method == "smp":
+        if (y == y[0]).all():
+            raise DegenerateDataError("zero sample variance: every semiparametric score is tied")
+        marginal = marginals.empirical_cdf(y, variant, eps)
+        model = CopulaModel(structure, "empirical", _probit(marginal.cdf(y)))
+    else:
+        model = CopulaModel(structure, dist, y, n_categories)
+    opt = optimize_objective(Objective(method, model), model.initial_theta(),
+                             model.bounds(), model.face_constraint())
+    if method != "smp":
+        marginal = model.family_of(opt.theta)
+    return FitResult(method, model, opt.theta, opt.value, opt.iterations, opt.converged,
+                     marginal, variant, eps)
+
+
+def simulate_flat(structure, omega, family, rng) -> np.ndarray:
+    """One dataset from the fitted copula: Z ~ N(0, Omega), U = Phi(Z), Y = F^{-1}(U)."""
+    if family is None:
+        raise NumericalError("the fitted marginal is infeasible; there is nothing to simulate")
+    z = simulate_latent(structure, omega, rng)
+    return np.asarray(family.quantile(ndtr(z)), dtype=float)
 
 
 def _invert_information(info: np.ndarray) -> np.ndarray:
@@ -267,18 +263,14 @@ def _invert_information(info: np.ndarray) -> np.ndarray:
     return np.linalg.inv(info)
 
 
-def observed_information(objective, theta) -> np.ndarray:
-    """Negative finite-difference Hessian of the log-objective."""
-    return -hessian(objective, theta)
-
-
 def _sandwich_worker(payload, j):
-    model, method, theta, seed = payload
-    rng = replicate_rng(seed, _TAG_SANDWICH, j)
-    omega, _ = model.unpack(theta)
-    y = simulate_flat(model.structure, omega, model.family_of(theta), rng)
-    refit_model = CopulaModel(model.structure, model.family, y, model.n_categories)
-    g = gradient(Objective(method, refit_model), theta)
+    fit, seed = payload
+    model = fit.model
+    omega, _ = model.unpack(fit.theta)
+    y = simulate_flat(model.structure, omega, fit.family_obj,
+                      replicate_rng(seed, _TAG_SANDWICH, j))
+    simulated = CopulaModel(model.structure, model.family, y, model.n_categories)
+    g = gradient(Objective(fit.method, simulated), fit.theta)
     return np.outer(g, g)
 
 
@@ -288,8 +280,7 @@ def sandwich_score_cov(fit: FitResult, n_b: int = DEFAULT_SANDWICH_NB,
     the mean outer product of the objective gradient over simulated datasets."""
     check_replicates(n_b)
     seed = resolve_seed(seed if seed is not None else fit.seed)
-    payload = (fit.model, fit.method, fit.theta, seed)
-    outers = parallel_map(_sandwich_worker, payload, n_b, threads)
+    outers = parallel_map(_sandwich_worker, (fit, seed), n_b, threads)
     j_hat = np.mean(outers, axis=0)
     return 0.5 * (j_hat + j_hat.T)
 
@@ -305,9 +296,7 @@ def asymptotic_interval(fit: FitResult, conf_level: float = 0.95,
     """
     if fit.method == "smp":
         raise ConfigError("the semiparametric path supports bootstrap intervals only")
-    objective = Objective(fit.method, fit.model)
-    info = observed_information(objective, fit.theta)
-    inv_info = _invert_information(info)
+    inv_info = _invert_information(-hessian(Objective(fit.method, fit.model), fit.theta))
     score_cov = None
     if fit.method in ("dt", "cml"):
         score_cov = sandwich_score_cov(fit, n_b=n_b, seed=seed, threads=threads)
@@ -324,14 +313,17 @@ def asymptotic_interval(fit: FitResult, conf_level: float = 0.95,
 
 
 def _boot_worker(payload, j):
-    structure, omega, marginal, method, dist, n_categories, variant, eps, seed = payload
-    tag = _TAG_SMP_BOOT if method == "smp" else _TAG_BOOT
-    y = simulate_flat(structure, omega, marginal, replicate_rng(seed, tag, j))
+    fit, seed = payload
+    structure = fit.model.structure
+    omega, _ = fit.model.unpack(fit.theta)
+    tag = _TAG_SMP_BOOT if fit.method == "smp" else _TAG_BOOT
+    y = simulate_flat(structure, omega, fit.family_obj, replicate_rng(seed, tag, j))
     try:
-        model, opt, _ = fit_point(structure, y, method, dist, n_categories, variant, eps)
+        refit = fit_point(structure, y, fit.method, fit.family, fit.model.n_categories,
+                          fit.smp_variant, fit.smp_eps)
     except DataError:
         return None
-    return model.expand(opt.theta) if opt.converged else None
+    return refit.estimates if refit.converged else None
 
 
 def bootstrap_intervals(draws: np.ndarray, center: np.ndarray, interval: str,
@@ -365,10 +357,7 @@ def full_bootstrap(fit: FitResult, n_b: int = DEFAULT_BOOTSTRAP_NB,
     """
     check_replicates(n_b)
     seed = resolve_seed(seed if seed is not None else fit.seed)
-    omega, _ = fit.model.unpack(fit.theta)
-    payload = (fit.model.structure, omega, fit.family_obj, fit.method, fit.family,
-               fit.model.n_categories, fit.smp_variant, fit.smp_eps, seed)
-    rows = parallel_map(_boot_worker, payload, n_b, threads)
+    rows = parallel_map(_boot_worker, (fit, seed), n_b, threads)
     kept = [r for r in rows if r is not None]
     dropped = n_b - len(kept)
     if len(kept) < 2:
@@ -423,14 +412,8 @@ def fit_agreement(data: ScoreMatrix, *, method: str | None = None, dist: str | N
     seed = resolve_seed(seed)
 
     structure = build_structure(data.labels, data.observed)
-    model, opt, marginal = fit_point(structure, y, method, dist, data.n_categories,
-                                     smp_variant, smp_eps)
-    fit = FitResult(
-        method=method, model=model, data=data, theta=opt.theta,
-        objective=opt.value, iterations=opt.iterations, converged=opt.converged,
-        family_obj=marginal, conf_level=conf_level, seed=seed,
-        smp_variant=smp_variant, smp_eps=smp_eps,
-    )
+    fit = fit_point(structure, y, method, dist, data.n_categories, smp_variant, smp_eps)
+    fit.data, fit.seed, fit.conf_level = data, seed, conf_level
     if confint == "asymptotic":
         n_b = bootit if bootit is not None else DEFAULT_SANDWICH_NB
         fit.lower, fit.upper, fit.covariance, fit.score_cov = asymptotic_interval(

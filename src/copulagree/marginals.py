@@ -38,8 +38,6 @@ class Categorical:
     """Categorical distribution on {1,...,K} with P(Y=k) = p[k-1]."""
 
     p: np.ndarray
-    tag = "categorical"
-    discrete = True
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
@@ -165,7 +163,6 @@ class Parametric:
     tag: str
     a: float
     b: float
-    discrete = False
 
     def _at(self, x, name):
         """x as floats, the support, and the table's ``name`` function at x."""
@@ -195,8 +192,6 @@ class Empirical:
     sample: np.ndarray
     variant: str = "plain"
     eps: float = 0.0
-    tag = "empirical"
-    discrete = False
 
     def __post_init__(self):
         object.__setattr__(self, "sample", np.sort(np.asarray(self.sample, dtype=float)))

@@ -109,10 +109,6 @@ class CopulaModel:
     def n_omega(self) -> int:
         return self.structure.n_params
 
-    @property
-    def theta_dim(self) -> int:
-        return len(self.bounds())
-
     def bounds(self) -> list[tuple[float | None, float | None]]:
         return [(0.0, OMEGA_MAX)] * self.n_omega + marginals.psi_bounds(
             self.family, self.n_categories
@@ -154,9 +150,9 @@ class CopulaModel:
 
     def expand_matrix(self) -> np.ndarray:
         """Jacobian of the reported vector in the packed theta (delta method)."""
-        a = np.eye(self.theta_dim)
+        a = np.eye(len(self.bounds()))
         if self.family == "categorical":
-            row = np.zeros(self.theta_dim)
+            row = np.zeros(a.shape[1])
             row[self.n_omega:] = -1.0
             a = np.vstack([a, row])
         return a
@@ -210,7 +206,7 @@ class Objective:
             return loglik_dt(theta, self.model, self.counts, grad)
         if self.kind == "cml":
             return loglik_cml(theta, self.model, self.counts)
-        return loglik_smp(theta, self.model.structure, self.model.y, self.counts, grad)
+        return loglik_smp(theta, self.model.structure, self.counts, grad)
 
     def score(self, theta) -> tuple[float, np.ndarray]:
         """``(value, gradient)``: omega-part from the core, the rest from ``stencil_score``."""
@@ -289,10 +285,10 @@ def dt_tally(model: CopulaModel) -> DtTally:
                    np.bincount(y, minlength=k))
 
 
-def loglik_dt(theta, model: CopulaModel, tally: DtTally | None = None, grad=None) -> float:
+def loglik_dt(theta, model: CopulaModel, tally: DtTally, grad=None) -> float:
     """Distributional-transform approximation: the categorical log-mass plus
-    the Gaussian core at the probits of the jump midpoints, from ``tally``
-    (``dt_tally(model)`` when not given).  The log-mass and sum of squares
+    the Gaussian core at the probits of the jump midpoints, from the
+    ``dt_tally(model)`` counts ``tally``.  The log-mass and sum of squares
     are exactly rounded count-weighted sums over the K categories and S_g is
     one weighted ``bincount``, so reordering units gives the same bits.  ``grad`` as for ML.
     """
@@ -300,8 +296,6 @@ def loglik_dt(theta, model: CopulaModel, tally: DtTally | None = None, grad=None
     fam = model.family_of(theta)
     if fam is None:
         return -np.inf
-    if tally is None:
-        tally = dt_tally(model)
     categories = np.arange(1.0, model.n_categories + 1.0)
     logf = weighted_fsum(fam.logpdf(categories), tally.n_cat)
     t = _probit(fam.dt_cdf(categories))
@@ -335,19 +329,17 @@ def cml_cells(model: CopulaModel):
     return ci, cj, param, counts[nz]
 
 
-def loglik_cml(theta, model: CopulaModel, cells=None) -> float:
+def loglik_cml(theta, model: CopulaModel, cells) -> float:
     """Pairwise composite log-likelihood over all nonzero-correlation pairs.
 
-    Each distinct cell of ``cml_cells`` (computed here when not given) is
-    evaluated once and its log-rectangle weighted by its pair count; the
-    result equals the exactly rounded sum over the pairs one by one.
+    Each distinct cell of ``cells = cml_cells(model)`` is evaluated once and
+    its log-rectangle weighted by its pair count; the result equals the
+    exactly rounded sum over the pairs one by one.
     """
     omega, _ = model.unpack(theta)
     fam = model.family_of(theta)
     if fam is None:
         return -np.inf
-    if cells is None:
-        cells = cml_cells(model)
     if not np.isfinite(omega).all() or (np.abs(omega) >= 1.0).any():
         return -np.inf
     ci, cj, param, counts = cells
@@ -365,11 +357,9 @@ def loglik_cml(theta, model: CopulaModel, cells=None) -> float:
     return weighted_fsum(np.log(rect), counts)
 
 
-def loglik_smp(omega, structure: AgreementStructure, zhat, moments=None, grad=None) -> float:
+def loglik_smp(omega, structure: AgreementStructure, moments, grad=None) -> float:
     """Copula-only objective for pre-standardized scores (no -I correction),
-    from the ``second_moments`` of zhat (formed here when not given); ``grad`` as for ML."""
-    if moments is None:
-        moments = second_moments(structure, zhat, sorted_positions(structure, zhat))
+    from their ``second_moments``; ``grad`` as for ML."""
     core = block_logdet_quadform(structure, omega, moments, grad=grad)
     return -np.inf if core is None else core
 

@@ -226,7 +226,8 @@ def embed_original(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
 def read_score_csv(source, level: str, n_categories: int | None = None) -> ScoreMatrix:
     """Read the CSV score format: label header row, units as rows, NA/empty = missing."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte order mark that spreadsheet exports write
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             return read_score_csv(fh, level, n_categories)
     rows = list(csv.reader(source))
     if not rows:

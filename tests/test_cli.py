@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -107,6 +108,27 @@ class TestFitCommand:
         report = json.loads(out)
         assert report["control"]["method"] == "smp"
         assert report["coefficients"]["names"] == ["inter"]
+
+
+    def test_intervals_of_a_non_converged_fit_are_flagged_in_text(self, capsys, monkeypatch):
+        import copulagree.fit as fit_module
+
+        warning = "Warning: intervals were computed at a point that did not meet the " \
+                  "stopping rule.\n"
+        args = ["fit", FIXTURE, "--level", "nominal", "--bootit", "10", "--seed", "1",
+                "--threads", "1"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and "Optimization converged" in out and warning not in out
+        optimize = fit_module.optimize_objective
+        monkeypatch.setattr(fit_module, "optimize_objective", lambda *a, **k: dataclasses.replace(
+            optimize(*a, **k), converged=False))
+        code, flagged, _ = run_cli(capsys, *args)
+        assert code == 0 and "stopped (not converged)" in flagged
+        assert flagged.count(warning) == 1
+        assert flagged.replace(warning, "").replace("\n\n\n", "\n\n") == \
+            out.replace("converged at", "stopped (not converged) at")
+        code, out, _ = run_cli(capsys, *args, "--confint", "none")
+        assert code == 0 and "stopped (not converged)" in out and warning not in out
 
 
 class TestAlphaCommand:
@@ -335,6 +357,23 @@ class TestErrorPaths:
             assert code == 2
             assert err == f"error: data: cannot read input file {str(path)!r}\n"
 
+    def test_unwritable_destination_is_a_config_error(self, capsys, tmp_path):
+        csv = write_pairs_csv(tmp_path / "pairs.csv", n=40)
+        missing = str(tmp_path / "missing" / "out.txt")
+        for argv, path, reason in (
+            (["fit", FIXTURE, "--level", "nominal", "--confint", "none"], missing,
+             "No such file or directory"),
+            (["fit", FIXTURE, "--level", "nominal", "--confint", "none"], str(tmp_path),
+             "Is a directory"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--output", path, "--seed", "1")
+            assert (code, out) == (1, "")
+            assert err == f"error: config: cannot write {path!r}: {reason}\n"
+        code, out, err = run_cli(capsys, "bayes", csv, "--level", "interval", "--maxit", "1000",
+                                 "--seed", "1", "--dump-draws", missing)
+        assert (code, out) == (1, "")
+        assert err == f"error: config: cannot write {missing!r}: No such file or directory\n"
+
     def test_json_report_of_a_fit_at_a_non_finite_objective(self, capsys, tmp_path):
         # the second column lies outside the Kumaraswamy support (0, 1)
         rng = np.random.default_rng(4)
@@ -440,7 +479,9 @@ def _cli_calls(draw, inputs):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     path, level = inputs[draw(st.sampled_from(sorted(inputs)))]
     level = draw(st.just(level) | st.sampled_from(_LEVELS))
-    return [command, path, "--level", level, *draw(_OPTIONS[command]),
+    # an --output into a missing directory
+    output = draw(st.sampled_from([(), ("--output", str(Path(path).parent / "missing" / "r"))]))
+    return [command, path, "--level", level, *draw(_OPTIONS[command]), *output,
             "--format", draw(st.sampled_from(["text", "json"])), "--seed", "1", "--threads", "1"]
 
 

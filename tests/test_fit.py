@@ -9,6 +9,7 @@ from copulagree import (
     build_structure,
     fit_agreement,
     full_bootstrap,
+    hessian,
     optimize_objective,
     parse_labels,
     prepare,
@@ -16,7 +17,7 @@ from copulagree import (
     select_method,
     simulate_flat,
 )
-from copulagree.fit import _invert_information, observed_information
+from copulagree.fit import _invert_information
 from copulagree.marginals import make_family
 
 from conftest import make_pair_data
@@ -138,7 +139,7 @@ class TestAsymptoticIntervals:
         def flat(t):
             return -t[0] ** 2  # no dependence on t[1]
 
-        info = observed_information(flat, np.array([0.1, 0.3]))
+        info = -hessian(flat, np.array([0.1, 0.3]))
         with pytest.raises(IntervalError, match="singular"):
             _invert_information(info)
 
@@ -217,6 +218,14 @@ class TestFullBootstrap:
         assert s1.shape == (8, 1)
         assert np.array_equal(s1, s2)
         assert np.array_equal(s1, s3)
+
+    def test_seeded_sandwich_is_bitwise_equal_across_thread_counts(self, nominal_data):
+        for method in ("dt", "cml"):
+            fit = fit_agreement(nominal_data, method=method, confint="none", seed=7)
+            j1 = sandwich_score_cov(fit, n_b=6, seed=13, threads=1)
+            j2 = sandwich_score_cov(fit, n_b=6, seed=13, threads=2)
+            assert fit.method == method
+            assert np.array_equal(j1, j2)
 
     def test_quantile_interval_option(self, nominal_fit):
         draws, lower, upper, *_ = full_bootstrap(

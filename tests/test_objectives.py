@@ -25,11 +25,16 @@ from copulagree import (
     prepare,
 )
 from copulagree.marginals import DELTA_P, Categorical
-from copulagree.objectives import _probit, stencil
-from copulagree.structure import pair_list, weighted_fsum
+from copulagree.objectives import _probit, cml_cells, dt_tally, stencil
+from copulagree.structure import pair_list, second_moments, sorted_positions, weighted_fsum
 
 from conftest import nominal_matrix
 from oracle import gaussian_core, materialize_block, ml_oracle, smp_oracle
+
+
+def smp_moments(structure, zhat):
+    """The counts of the SMP objective: the second moments of ``zhat``."""
+    return second_moments(structure, zhat, sorted_positions(structure, zhat))
 
 
 def pair_structure(n_units=1):
@@ -195,7 +200,8 @@ class TestDtObjective:
         sm = prepare(np.array([[1.0, 2.0]]), labs, "nominal")
         model = CopulaModel(build_structure(sm.labels, sm.observed), "categorical",
                             sm.scores_flat(), 2)
-        assert loglik_dt(np.array([0.0, 0.5]), model) == pytest.approx(2 * np.log(0.5))
+        value = loglik_dt(np.array([0.0, 0.5]), model, dt_tally(model))
+        assert value == pytest.approx(2 * np.log(0.5))
 
     def test_agreement_raises_likelihood(self):
         labs = parse_labels(["c.1.1", "c.2.1"]).labels
@@ -203,8 +209,8 @@ class TestDtObjective:
         model = CopulaModel(build_structure(sm.labels, sm.observed), "categorical",
                             sm.scores_flat(), 5)
         psi = np.full(4, 0.2)
-        low = loglik_dt(np.concatenate([[0.0], psi]), model)
-        high = loglik_dt(np.concatenate([[0.9], psi]), model)
+        low = loglik_dt(np.concatenate([[0.0], psi]), model, dt_tally(model))
+        high = loglik_dt(np.concatenate([[0.9], psi]), model, dt_tally(model))
         assert high > low
 
     def test_non_pd_multi_method_is_minus_inf(self):
@@ -214,7 +220,7 @@ class TestDtObjective:
         model = CopulaModel(build_structure(sm.labels, sm.observed), "categorical",
                             sm.scores_flat(), 2)
         theta = np.array([0.0, 0.0, 0.99, 0.5])
-        assert loglik_dt(theta, model) == -np.inf
+        assert loglik_dt(theta, model, dt_tally(model)) == -np.inf
 
 
 class TestCmlObjective:
@@ -226,12 +232,12 @@ class TestCmlObjective:
 
     def test_independence_factorizes(self):
         model = self.make_pair_model(1, 2, 2)
-        value = loglik_cml(np.array([0.0, 0.3]), model)
+        value = loglik_cml(np.array([0.0, 0.3]), model, cml_cells(model))
         assert value == pytest.approx(np.log(0.3 * 0.7), abs=1e-10)
 
     def test_binary_orthant_identity(self):
         model = self.make_pair_model(1, 1, 2)
-        value = loglik_cml(np.array([0.5, 0.5]), model)
+        value = loglik_cml(np.array([0.5, 0.5]), model, cml_cells(model))
         expected = np.log(0.25 + np.arcsin(0.5) / (2 * np.pi))
         assert value == pytest.approx(expected, abs=1e-8)
 
@@ -244,7 +250,7 @@ class TestCmlObjective:
             for y1 in range(1, k + 1):
                 for y2 in range(1, k + 1):
                     model = self.make_pair_model(y1, y2, k)
-                    value = loglik_cml(np.concatenate([[rho], p[:-1]]), model)
+                    value = loglik_cml(np.concatenate([[rho], p[:-1]]), model, cml_cells(model))
                     ref = scipy_rect(y1, y2, fam, rho)
                     assert value == pytest.approx(np.log(ref), abs=1e-8)
                     total += np.exp(value)
@@ -304,9 +310,10 @@ def test_cml_equals_per_pair_sum_and_ignores_unit_order(case, rnd):
     # oracle: every pair evaluated on its own, summed exactly
     rect = pair_rectangles(theta, model)
     expected = math.fsum(np.log(rect)) if (rect > 0.0).all() else -np.inf
-    assert loglik_cml(theta, model) == expected
+    assert loglik_cml(theta, model, cml_cells(model)) == expected
     order = rnd.sample(range(len(grid)), len(grid))
-    assert loglik_cml(theta, cml_model(labels, grid[order], k)) == expected
+    model_p = cml_model(labels, grid[order], k)
+    assert loglik_cml(theta, model_p, cml_cells(model_p)) == expected
 
 
 def dt_oracle(theta, model):
@@ -343,9 +350,10 @@ def test_dt_tally_equals_per_unit_path_and_ignores_unit_order(case, rnd):
     labels, grid, k, omega, p = case
     model = cml_model(labels, grid, k)
     theta = np.concatenate([omega[: model.n_omega], p[:-1]])
-    value = loglik_dt(theta, model)
+    value = loglik_dt(theta, model, dt_tally(model))
     order = rnd.sample(range(len(grid)), len(grid))
-    assert loglik_dt(theta, cml_model(labels, grid[order], k)) == value
+    model_p = cml_model(labels, grid[order], k)
+    assert loglik_dt(theta, model_p, dt_tally(model_p)) == value
     if well_posed(model.structure, theta[: model.n_omega]):
         assert close(value, dt_oracle(theta, model))
 
@@ -393,13 +401,13 @@ def test_moment_core_equals_per_unit_oracle_and_ignores_unit_order(case, rnd):
     omega = omega[: s.n_params]
     theta = np.concatenate([omega, psi])
     ml = loglik_ml(theta, model)
-    smp = loglik_smp(omega, s, zhat)
+    smp = loglik_smp(omega, s, smp_moments(s, zhat))
     assert Objective("ml", model)(theta) == ml
     assert Objective("smp", CopulaModel(s, "empirical", zhat))(omega) == smp
     order = rnd.sample(range(len(grid)), len(grid))
     model_p, zhat_p = interval_objectives(labels, grid[order], family)
     assert loglik_ml(theta, model_p) == ml
-    assert loglik_smp(omega, model_p.structure, zhat_p) == smp
+    assert loglik_smp(omega, model_p.structure, smp_moments(model_p.structure, zhat_p)) == smp
     if well_posed(s, omega):
         assert close(ml, ml_oracle(theta, model))
         assert close(smp, smp_oracle(omega, s, zhat))
@@ -538,9 +546,9 @@ def test_objectives_ignore_column_order(case, rnd):
         y = sm.scores_flat()
         values.append({
             "ml": loglik_ml(np.concatenate([omega_q, [2.5, 1.2]]), CopulaModel(s, "gaussian", y)),
-            "dt": loglik_dt(theta, cat),
-            "cml": loglik_cml(theta, cat),
-            "smp": loglik_smp(omega_q, s, _probit(empirical_cdf(y).cdf(y))),
+            "dt": loglik_dt(theta, cat, dt_tally(cat)),
+            "cml": loglik_cml(theta, cat, cml_cells(cat)),
+            "smp": loglik_smp(omega_q, s, smp_moments(s, _probit(empirical_cdf(y).cdf(y)))),
         })
     before, after = values
     if well_posed(cat.structure, omega_q):
@@ -568,11 +576,11 @@ class TestSmpObjective:
         rng = np.random.default_rng(4)
         z = rng.normal(size=8)
         s = pair_structure(4)
-        assert loglik_smp([0.0], s, z) == pytest.approx(-0.5 * z @ z, rel=1e-12)
+        assert loglik_smp([0.0], s, smp_moments(s, z)) == pytest.approx(-0.5 * z @ z, rel=1e-12)
 
     def test_two_by_two_closed_form(self):
         s = pair_structure(1)
-        value = loglik_smp([0.5], s, np.ones(2))
+        value = loglik_smp([0.5], s, smp_moments(s, np.ones(2)))
         assert value == pytest.approx(-0.5 * np.log(0.75) - 1.0 / 1.5, rel=1e-12)
 
     def test_rank_invariance_of_standardized_scores(self):
@@ -653,9 +661,9 @@ def test_objectives_return_minus_inf_never_raise():
     bad_omega = np.array([0.0, 0.0, 0.99])
 
     cat = CopulaModel(s, "categorical", sm.scores_flat(), 2)
-    assert loglik_dt(np.concatenate([bad_omega, [0.5]]), cat) == -np.inf
-    assert loglik_cml(np.concatenate([bad_omega, [1.5]]), cat) == -np.inf
+    assert loglik_dt(np.concatenate([bad_omega, [0.5]]), cat, dt_tally(cat)) == -np.inf
+    assert loglik_cml(np.concatenate([bad_omega, [1.5]]), cat, cml_cells(cat)) == -np.inf
 
     cont = CopulaModel(s, "gaussian", sm.scores_flat())
     assert loglik_ml(np.concatenate([bad_omega, [0.0, 1.0]]), cont) == -np.inf
-    assert loglik_smp(bad_omega, s, np.zeros(s.n)) == -np.inf
+    assert loglik_smp(bad_omega, s, smp_moments(s, np.zeros(s.n))) == -np.inf

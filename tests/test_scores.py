@@ -157,6 +157,17 @@ def test_read_score_csv_matches_prepare(nominal_data, tmp_path):
     assert np.array_equal(sm.scores_flat(), nominal_data.scores_flat())
 
 
+def test_read_score_csv_accepts_a_utf8_byte_order_mark(tmp_path):
+    text = "c.1.1,c.2.1\n1,2\n3,NA\n2,2\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    a, b = read_score_csv(plain, "nominal"), read_score_csv(bom, "nominal")
+    assert a.labels == b.labels
+    assert np.array_equal(a.observed, b.observed)
+    assert np.array_equal(a.scores_flat(), b.scores_flat())
+
+
 def test_read_score_csv_empty_cell_is_missing():
     sm = read_score_csv(io.StringIO("c.1.1,c.2.1\n1,2\n,3\n2,1\n"), "nominal")
     assert sm.n_units == 2  # second row has a single score
